@@ -17,7 +17,18 @@
 // making logical and physical page counts directly comparable down the
 // column. On the hotspot workload, pages/query must fall strictly as the
 // cap grows. Emitted machine-readable as BENCH_batch.json.
+//
+// Pages are not time, so every sweep point also reports wall-clock
+// µs/query (steady_clock, taken here at the bench boundary): the batched
+// AnswerBatch call and, next to it, the same queries answered one by one
+// with SpatialServer::AnswerKnn — each the median of kTimedReps passes, each
+// pass on a freshly built server with a cold pool (construction untimed).
+// Both paths do answering work only (measure_inn off). The sequential
+// column repeats at every cap, which shows the run's timing noise.
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -45,7 +56,32 @@ struct PointResult {
   double misses_per_query = 0.0;
   uint64_t shared_misses = 0;
   uint64_t private_misses = 0;
+  double seq_us_per_query = 0.0;
+  double batch_us_per_query = 0.0;
 };
+
+constexpr int kTimedReps = 3;
+
+using Clock = std::chrono::steady_clock;
+
+double MicrosSince(Clock::time_point t0) {
+  return std::chrono::duration<double, std::micro>(Clock::now() - t0).count();
+}
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+/// Fresh server per point: same tree (same build), cold pool, so the
+/// physical miss column is comparable across caps.
+std::unique_ptr<core::SpatialServer> ColdServer(const std::vector<core::Poi>& pois) {
+  storage::BufferPoolOptions pool;
+  pool.capacity_pages = 64;
+  return std::make_unique<core::SpatialServer>(
+      pois, core::SpatialServer::DefaultTreeOptions(), rtree::AccessCountMode::kOnExpand,
+      pool);
+}
 
 std::vector<core::Poi> BuildPois(uint64_t seed, int n, double side) {
   Rng rng = Rng(seed).Stream("bench-batch-pois");
@@ -97,10 +133,12 @@ int main(int argc, char** argv) {
 
   std::printf("%d POIs, %d queries, k=%d, 64-frame LRU pool, cold per point\n\n",
               poi_count, query_count, k);
-  std::printf("%8s %6s %9s %9s %12s %12s %12s %12s\n", "workload", "cap",
-              "clusters", "avg size", "pages/q", "misses/q", "shared", "private");
+  std::printf("%8s %6s %9s %9s %12s %12s %12s %12s %10s %10s\n", "workload", "cap",
+              "clusters", "avg size", "pages/q", "misses/q", "shared", "private",
+              "seq us/q", "batch us/q");
   std::printf("csv,workload,max_group,shared_clusters,avg_cluster_size,"
-              "logical_pages_per_query,misses_per_query,shared_misses,private_misses\n");
+              "logical_pages_per_query,misses_per_query,shared_misses,private_misses,"
+              "seq_us_per_query,batch_us_per_query\n");
 
   std::vector<std::vector<PointResult>> all;
   for (const Workload& wl : workloads) {
@@ -108,19 +146,33 @@ int main(int argc, char** argv) {
         BuildQueries(args.seed, query_count, side, wl.hotspot, k);
     std::vector<PointResult> column;
     for (int max_group : batch_sizes) {
-      // Fresh server per point: same tree (same build), cold pool, so the
-      // physical miss column is comparable across caps.
-      storage::BufferPoolOptions pool;
-      pool.capacity_pages = 64;
-      core::SpatialServer server(pois, core::SpatialServer::DefaultTreeOptions(),
-                                 rtree::AccessCountMode::kOnExpand, pool);
       core::BatchOptions options;
       options.cluster_cell_m = 200.0;
       options.max_group = max_group;
-      core::BatchServer batch(&server, options);
+      std::unique_ptr<core::SpatialServer> server = ColdServer(pois);
+      core::BatchServer batch(server.get(), options);
       std::vector<size_t> cluster_sizes;
+      Clock::time_point t0 = Clock::now();
       std::vector<core::ServerReply> replies =
           batch.AnswerBatch(queries, nullptr, nullptr, &cluster_sizes);
+      std::vector<double> batch_us{MicrosSince(t0)};
+      std::vector<double> seq_us;
+      // Batched and sequential passes alternate (the batched pass above is
+      // the first), so host drift moves both columns alike.
+      for (int rep = 0; rep < kTimedReps; ++rep) {
+        std::unique_ptr<core::SpatialServer> seq_server = ColdServer(pois);
+        t0 = Clock::now();
+        for (const core::BatchQuery& q : queries) {
+          seq_server->AnswerKnn(q.q, q.k, q.bounds, q.already_certified);
+        }
+        seq_us.push_back(MicrosSince(t0));
+        if (rep + 1 == kTimedReps) break;
+        std::unique_ptr<core::SpatialServer> batch_server = ColdServer(pois);
+        core::BatchServer timed(batch_server.get(), options);
+        t0 = Clock::now();
+        timed.AnswerBatch(queries);
+        batch_us.push_back(MicrosSince(t0));
+      }
 
       PointResult p;
       p.max_group = max_group;
@@ -140,18 +192,22 @@ int main(int argc, char** argv) {
       p.misses_per_query = static_cast<double>(misses) / static_cast<double>(p.queries);
       p.shared_misses = batch.stats().shared_traversal.shared_misses;
       p.private_misses = batch.stats().shared_traversal.private_misses;
+      p.seq_us_per_query = Median(seq_us) / static_cast<double>(p.queries);
+      p.batch_us_per_query = Median(batch_us) / static_cast<double>(p.queries);
       column.push_back(p);
 
-      std::printf("%8s %6d %9llu %9.2f %12.3f %12.3f %12llu %12llu\n", wl.name,
+      std::printf("%8s %6d %9llu %9.2f %12.3f %12.3f %12llu %12llu %10.3f %10.3f\n",
+                  wl.name, max_group, static_cast<unsigned long long>(p.shared_clusters),
+                  p.avg_cluster, p.logical_per_query, p.misses_per_query,
+                  static_cast<unsigned long long>(p.shared_misses),
+                  static_cast<unsigned long long>(p.private_misses), p.seq_us_per_query,
+                  p.batch_us_per_query);
+      std::printf("csv,%s,%d,%llu,%.4f,%.4f,%.4f,%llu,%llu,%.4f,%.4f\n", wl.name,
                   max_group, static_cast<unsigned long long>(p.shared_clusters),
                   p.avg_cluster, p.logical_per_query, p.misses_per_query,
                   static_cast<unsigned long long>(p.shared_misses),
-                  static_cast<unsigned long long>(p.private_misses));
-      std::printf("csv,%s,%d,%llu,%.4f,%.4f,%.4f,%llu,%llu\n", wl.name, max_group,
-                  static_cast<unsigned long long>(p.shared_clusters), p.avg_cluster,
-                  p.logical_per_query, p.misses_per_query,
-                  static_cast<unsigned long long>(p.shared_misses),
-                  static_cast<unsigned long long>(p.private_misses));
+                  static_cast<unsigned long long>(p.private_misses), p.seq_us_per_query,
+                  p.batch_us_per_query);
     }
     all.push_back(std::move(column));
   }
@@ -186,12 +242,14 @@ int main(int argc, char** argv) {
                    "%s{\"max_group\":%d,\"shared_clusters\":%llu,"
                    "\"avg_cluster_size\":%.4f,\"logical_pages_per_query\":%.4f,"
                    "\"misses_per_query\":%.4f,\"shared_misses\":%llu,"
-                   "\"private_misses\":%llu}",
+                   "\"private_misses\":%llu,\"seq_us_per_query\":%.4f,"
+                   "\"batch_us_per_query\":%.4f}",
                    i > 0 ? "," : "", p.max_group,
                    static_cast<unsigned long long>(p.shared_clusters), p.avg_cluster,
                    p.logical_per_query, p.misses_per_query,
                    static_cast<unsigned long long>(p.shared_misses),
-                   static_cast<unsigned long long>(p.private_misses));
+                   static_cast<unsigned long long>(p.private_misses), p.seq_us_per_query,
+                   p.batch_us_per_query);
     }
     std::fprintf(f, "]}");
   }

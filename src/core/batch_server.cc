@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <limits>
 #include <map>
-#include <queue>
 #include <utility>
 
 #include "src/obs/metrics.h"
@@ -16,6 +15,13 @@ namespace senn::core {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/// Releases a traversal scratch vector grown past 64Ki entries after its
+/// cluster, so one request with a huge k does not pin its memory for the
+/// server's lifetime; smaller scratch is kept for the next cluster.
+template <typename T>
+void ReleaseIfLarge(std::vector<T>* scratch) {
+  if (scratch->capacity() > (size_t{1} << 16)) std::vector<T>().swap(*scratch);
+}
 
 /// Canonical content order within a tile: co-located requests with equal
 /// parameters are interchangeable, so sorting by content (input index as the
@@ -96,10 +102,13 @@ std::vector<ServerReply> BatchServer::AnswerBatch(const std::vector<BatchQuery>&
     if (members.size() == 1) {
       // Sequential delegation: a cluster of one is exactly a QueryKnn call
       // (ServerStats bookkeeping included), which is what makes batch size 1
-      // byte-identical to today's server path.
+      // byte-identical to the sequential server path — or its answering
+      // half alone when the comparison INN pass is off.
       const BatchQuery& bq = queries[members.front()];
       replies[members.front()] =
-          server_->QueryKnn(bq.q, bq.k, bq.bounds, bq.already_certified, tracer);
+          options_.measure_inn
+              ? server_->QueryKnn(bq.q, bq.k, bq.bounds, bq.already_certified, tracer)
+              : server_->AnswerKnn(bq.q, bq.k, bq.bounds, bq.already_certified, tracer);
       ++stats_.queries;
       ++stats_.singleton_queries;
       continue;
@@ -122,80 +131,73 @@ void BatchServer::AnswerCluster(const std::vector<BatchQuery>& queries,
 
   // Per-query prune state: the sequential BestFirstNnIterator's bounds
   // translated to the shared traversal, plus the bounded candidate heap that
-  // replaces the global queue's object entries.
-  struct PerQuery {
-    const BatchQuery* in = nullptr;
-    ServerReply* out = nullptr;
-    int needed = 0;
-    // Dynamic top-k bound: best k object distances fed to this query so far
-    // (lower-bound-known objects included, exactly like the sequential
-    // iterator).
-    std::priority_queue<double> best;
-    // Best `needed` eligible objects so far: max-heap under the system
-    // (distance, id) rank, front = worst.
-    std::vector<rtree::Neighbor> cand;
-  };
-  std::vector<PerQuery> pq(m);
+  // replaces the global queue's object entries. The scratch vectors keep
+  // their capacity from earlier clusters.
+  if (query_state_.size() < m) query_state_.resize(m);
   for (uint32_t j = 0; j < m; ++j) {
-    const BatchQuery& bq = queries[members[j]];
-    pq[j].in = &bq;
-    pq[j].out = &(*replies)[members[j]];
-    pq[j].needed = std::max(0, bq.k - bq.already_certified);
+    QueryState& p = query_state_[j];
+    p.in = &queries[members[j]];
+    p.out = &(*replies)[members[j]];
+    p.needed = std::max(0, p.in->k - p.in->already_certified);
+    p.best.clear();
+    p.cand.clear();
   }
+  std::vector<QueryState>& pq = query_state_;
+  std::vector<NodeItem>& queue = node_queue_;
+  std::vector<uint32_t>& arena = wanted_arena_;
+  std::vector<uint32_t>& live = live_;
+  queue.clear();
+  arena.clear();
 
   auto by_rank = [](const rtree::Neighbor& a, const rtree::Neighbor& b) {
     return RanksBefore(a.distance, a.object.id, b.distance, b.object.id);
   };
-  auto feed = [](PerQuery& p, double d) {
+  auto feed = [](QueryState& p, double d) {
     if (p.in->k <= 0) return;  // degenerate request: no bound to maintain
     if (static_cast<int>(p.best.size()) < p.in->k) {
-      p.best.push(d);
-    } else if (d < p.best.top()) {
-      p.best.pop();
-      p.best.push(d);
+      p.best.push_back(d);
+      std::push_heap(p.best.begin(), p.best.end());
+    } else if (d < p.best.front()) {
+      std::pop_heap(p.best.begin(), p.best.end());
+      p.best.back() = d;
+      std::push_heap(p.best.begin(), p.best.end());
     }
   };
-  auto eff_upper = [](const PerQuery& p) {
+  auto eff_upper = [](const QueryState& p) {
     double upper = p.in->bounds.upper.value_or(kInf);
     if (p.in->k > 0 && static_cast<int>(p.best.size()) >= p.in->k) {
-      upper = std::min(upper, p.best.top());
+      upper = std::min(upper, p.best.front());
     }
     return upper;
   };
-  // The live-query prune rule: a query still wants a node unless the upper
-  // bound, downward (MAXDIST < lower) pruning, or its full candidate heap
-  // rules the node out. MINDIST == the worst candidate's distance survives
-  // the last test: the node may hold a co-distant object with a smaller id.
-  auto wants_node = [&](const PerQuery& p, double mindist, double maxdist) {
-    if (p.needed <= 0) return false;
-    if (mindist > eff_upper(p)) return false;
-    if (p.in->bounds.lower.has_value() && maxdist < *p.in->bounds.lower) return false;
-    if (static_cast<int>(p.cand.size()) >= p.needed &&
-        mindist > p.cand.front().distance) {
-      return false;
-    }
-    return true;
+  // A query's reach: the largest MINDIST at which it may still want a node.
+  // Beyond it the upper bound (static or dynamic) or its full candidate heap
+  // rules the node out; MINDIST == the worst candidate's distance is within
+  // reach, since the node may hold a co-distant object with a smaller id.
+  // Reach only shrinks as the traversal proceeds.
+  auto reach = [&](const QueryState& p) {
+    if (p.needed <= 0) return -kInf;
+    double r = eff_upper(p);
+    if (static_cast<int>(p.cand.size()) >= p.needed) r = std::min(r, p.cand.front().distance);
+    return r;
+  };
+  // The live-query prune rule: within reach and not ruled out by downward
+  // (MAXDIST < lower) pruning. MAXDIST is only evaluated for a query that
+  // carries a lower bound.
+  auto wants_node = [&](const QueryState& p, const geom::Mbr& mbr, double mindist) {
+    if (mindist > reach(p)) return false;
+    return !(p.in->bounds.lower.has_value() && mbr.MaxDist(p.in->q) < *p.in->bounds.lower);
   };
 
   // The shared node queue: min-over-wanting-queries MINDIST, equal keys in
   // push order (node identity, i.e. the pointer, never enters the order).
-  struct NodeItem {
-    double key = 0.0;
-    uint64_t seq = 0;
-    const rtree::RStarTree::Node* node = nullptr;
-    geom::Mbr mbr;
-    std::vector<uint32_t> wanted;  // cluster-local indices, push-time
+  auto node_greater = [](const NodeItem& a, const NodeItem& b) {
+    // senn-lint: allow(L5-float-eq): strict-weak-order tie detection —
+    // both keys come from the same MinDist code path, so equal means
+    // bit-identical, and exact ties must fall through to the FIFO rule.
+    if (a.key != b.key) return a.key > b.key;
+    return a.seq > b.seq;
   };
-  struct NodeGreater {
-    bool operator()(const NodeItem& a, const NodeItem& b) const {
-      // senn-lint: allow(L5-float-eq): strict-weak-order tie detection —
-      // both keys come from the same MinDist code path, so equal means
-      // bit-identical, and exact ties must fall through to the FIFO rule.
-      if (a.key != b.key) return a.key > b.key;
-      return a.seq > b.seq;
-    }
-  };
-  std::priority_queue<NodeItem, std::vector<NodeItem>, NodeGreater> queue;
   uint64_t push_seq = 0;
 
   rtree::AccessCounter cluster_counter;
@@ -203,18 +205,18 @@ void BatchServer::AnswerCluster(const std::vector<BatchQuery>& queries,
   // attributed to the first wanting query, classified shared when >= 2
   // queries read it. Per-query misses therefore partition the cluster's
   // unique-page misses.
-  auto charge = [&](const rtree::RStarTree::Node* node,
-                    const std::vector<uint32_t>& wanted) {
-    return rtree::ChargeBatchNodeAccess(node, &pq[wanted.front()].out->einn_accesses,
-                                        &cluster_counter, wanted.size() >= 2, pager);
+  auto charge = [&](const rtree::RStarTree::Node* node, uint32_t first_wanting,
+                    size_t wanting) {
+    return rtree::ChargeBatchNodeAccess(node, &pq[first_wanting].out->einn_accesses,
+                                        &cluster_counter, wanting >= 2, pager);
   };
 
-  auto expand = [&](const rtree::RStarTree::Node* node,
-                    const std::vector<uint32_t>& wanted) {
-    for (const rtree::RStarTree::Slot& s : node->slots) {
-      if (node->IsLeaf()) {
-        for (uint32_t j : wanted) {
-          PerQuery& p = pq[j];
+  // Expands `node` for the queries in `live`.
+  auto expand = [&](const rtree::RStarTree::Node* node) {
+    if (node->IsLeaf()) {
+      for (const rtree::RStarTree::Slot& s : node->slots) {
+        for (uint32_t j : live) {
+          QueryState& p = pq[j];
           double d = geom::Dist(p.in->q, s.object.position);
           // Lower-bound-known objects feed the dynamic bound but are never
           // reported — including the boundary id-cut rule of the sequential
@@ -242,80 +244,94 @@ void BatchServer::AnswerCluster(const std::vector<BatchQuery>& queries,
             std::push_heap(p.cand.begin(), p.cand.end(), by_rank);
           }
         }
-      } else {
-        NodeItem item;
-        item.node = s.child.get();
-        item.mbr = s.mbr;
-        double key = kInf;
-        for (uint32_t j : wanted) {
-          PerQuery& p = pq[j];
-          const double mindist = s.mbr.MinDist(p.in->q);
-          if (!wants_node(p, mindist, s.mbr.MaxDist(p.in->q))) continue;
-          item.wanted.push_back(j);
-          key = std::min(key, mindist);
-        }
-        if (item.wanted.empty()) continue;
-        item.key = key;
-        item.seq = push_seq++;
-        if (mode == rtree::AccessCountMode::kOnEnqueue) {
-          // Enqueue accounting fetches the child as it enters the queue;
-          // the pin is transient (expansion reads the queued copy).
-          if (charge(item.node, item.wanted)) pager->Unpin(item.node);
-        }
-        queue.push(std::move(item));
       }
+      return;
+    }
+    for (const rtree::RStarTree::Slot& s : node->slots) {
+      NodeItem item;
+      item.node = s.child.get();
+      item.mbr = s.mbr;
+      item.wanted_begin = arena.size();
+      double key = kInf;
+      for (uint32_t j : live) {
+        const double mindist = s.mbr.MinDist(pq[j].in->q);
+        if (!wants_node(pq[j], s.mbr, mindist)) continue;
+        arena.push_back(j);
+        key = std::min(key, mindist);
+      }
+      item.wanted_len = static_cast<uint32_t>(arena.size() - item.wanted_begin);
+      if (item.wanted_len == 0) continue;
+      item.key = key;
+      item.seq = push_seq++;
+      if (mode == rtree::AccessCountMode::kOnEnqueue) {
+        // Enqueue accounting fetches the child as it enters the queue;
+        // the pin is transient (expansion reads the queued copy).
+        if (charge(item.node, arena[item.wanted_begin], item.wanted_len)) {
+          pager->Unpin(item.node);
+        }
+      }
+      queue.push_back(item);
+      std::push_heap(queue.begin(), queue.end(), node_greater);
     }
   };
 
   // The root is always fetched once for the cluster, in both accounting
   // modes — the batch mirror of the sequential constructor's root charge.
   {
-    std::vector<uint32_t> all(m);
-    for (uint32_t j = 0; j < m; ++j) all[j] = j;
-    const bool pinned = charge(tree.root(), all);
-    expand(tree.root(), all);
+    live.resize(m);
+    for (uint32_t j = 0; j < m; ++j) live[j] = j;
+    const bool pinned = charge(tree.root(), 0, m);
+    expand(tree.root());
     if (pinned) pager->Unpin(tree.root());
   }
 
   while (!queue.empty()) {
-    NodeItem item = queue.top();
-    queue.pop();
+    // Keys pop in nondecreasing order, every wanting query's MINDIST is at
+    // least the key, and reach only shrinks: once the smallest key is beyond
+    // every query's reach, no queued node will be wanted again, and the
+    // remaining pops would all be skips (no fetch, no charge).
+    double max_reach = -kInf;
+    for (uint32_t j = 0; j < m; ++j) max_reach = std::max(max_reach, reach(pq[j]));
+    if (queue.front().key > max_reach) break;
+    std::pop_heap(queue.begin(), queue.end(), node_greater);
+    const NodeItem item = queue.back();
+    queue.pop_back();
     // Pop-time re-check against the tightened per-query state: a node every
     // pushing query has since pruned is skipped — without a fetch in expand
     // accounting (enqueue accounting already charged it, like the
     // sequential iterator charges queued-but-prunable nodes).
-    std::vector<uint32_t> live;
-    live.reserve(item.wanted.size());
-    for (uint32_t j : item.wanted) {
-      const PerQuery& p = pq[j];
-      if (wants_node(p, item.mbr.MinDist(p.in->q), item.mbr.MaxDist(p.in->q))) {
-        live.push_back(j);
-      }
+    live.clear();
+    for (size_t w = item.wanted_begin; w < item.wanted_begin + item.wanted_len; ++w) {
+      const uint32_t j = arena[w];
+      if (wants_node(pq[j], item.mbr, item.mbr.MinDist(pq[j].in->q))) live.push_back(j);
     }
     if (live.empty()) continue;
     bool pinned = false;
-    if (mode == rtree::AccessCountMode::kOnExpand) pinned = charge(item.node, live);
-    expand(item.node, live);
+    if (mode == rtree::AccessCountMode::kOnExpand) {
+      pinned = charge(item.node, live.front(), live.size());
+    }
+    expand(item.node);
     if (pinned) pager->Unpin(item.node);
   }
 
   // Per-query finalization: candidates in ascending rank order become the
-  // reply, then the comparison INN run (never through the pool) and the
-  // ServerStats fold — exactly what the sequential QueryKnn records.
+  // reply, then — when measured — the comparison INN run (never through the
+  // pool) and the ServerStats fold: exactly what the sequential QueryKnn
+  // records.
   for (uint32_t j = 0; j < m; ++j) {
-    PerQuery& p = pq[j];
+    QueryState& p = pq[j];
     std::sort(p.cand.begin(), p.cand.end(), by_rank);
     p.out->neighbors.reserve(p.cand.size());
     for (const rtree::Neighbor& n : p.cand) {
       p.out->neighbors.push_back({n.object.id, n.object.position, n.distance});
     }
-    rtree::BestFirstNnIterator inn(tree, p.in->q, rtree::PruneBounds{}, mode, p.in->k);
-    for (int i = 0; i < p.in->k; ++i) {
-      if (!inn.Next().has_value()) break;
-    }
-    p.out->inn_accesses = inn.accesses();
-    server_->RecordAnsweredQuery(p.out->einn_accesses, p.out->inn_accesses);
+    if (options_.measure_inn) p.out->inn_accesses = server_->MeasureInn(p.in->q, p.in->k);
+    server_->RecordAnsweredQuery(p.out->einn_accesses);
+    ReleaseIfLarge(&p.best);
+    ReleaseIfLarge(&p.cand);
   }
+  ReleaseIfLarge(&queue);
+  ReleaseIfLarge(&arena);
 
   stats_.queries += m;
   stats_.batched_queries += m;

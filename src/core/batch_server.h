@@ -20,7 +20,9 @@
 //  * a node is skipped only when EVERY live query prunes it — by the upper
 //    bound, by downward (MAXDIST < lower) pruning, or because the query's
 //    candidate heap is full and MINDIST exceeds its worst candidate (a node
-//    that cannot improve any query's answer is dead weight);
+//    that cannot improve any query's answer is dead weight); once the
+//    smallest queued key is beyond every query's reach, all remaining pops
+//    would be such skips and the traversal stops;
 //  * each visited node is fetched ONCE through the storage engine and
 //    charged once (rtree::ChargeBatchNodeAccess), attributed to the first
 //    wanting query in cluster order and classified shared/private in the
@@ -41,10 +43,12 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "src/core/server.h"
 #include "src/core/types.h"
+#include "src/geom/mbr.h"
 #include "src/geom/vec2.h"
 #include "src/rtree/knn.h"
 #include "src/rtree/rstar_tree.h"
@@ -79,6 +83,13 @@ struct BatchOptions {
   /// chunks of this size. 1 disables sharing (every query delegates to the
   /// sequential path).
   int max_group = 8;
+  /// Also run the paper's comparison INN pass per query
+  /// (SpatialServer::MeasureInn) and report it in `inn_accesses`. Off, the
+  /// batch does answering work only: singletons take
+  /// SpatialServer::AnswerKnn, shared clusters skip the INN pass, and every
+  /// reply's `inn_accesses` is zero. The simulator turns it on (its reports
+  /// carry Fig. 17's INN page counts); serving tiers leave it off.
+  bool measure_inn = false;
 };
 
 /// Cumulative batch-path counters.
@@ -106,10 +117,11 @@ class BatchServer {
 
   /// Clusters `queries` (FormClusters) and answers every cluster with one
   /// shared traversal; `replies[i]` answers `queries[i]`. Singleton clusters
-  /// delegate to SpatialServer::QueryKnn. Every answered query is folded
-  /// into the server's ServerStats; shared traversals also run the per-query
-  /// comparison INN pass (never through the buffer pool), exactly like the
-  /// sequential server. `tracer`, when given, receives one server_batch_einn
+  /// delegate to SpatialServer::QueryKnn (AnswerKnn without measure_inn).
+  /// Every answered query is folded into the server's ServerStats; with
+  /// measure_inn, shared traversals also run the per-query comparison INN
+  /// pass (never through the buffer pool), exactly like the sequential
+  /// server. `tracer`, when given, receives one server_batch_einn
   /// span per shared traversal (pages, misses, shared split); `metrics`
   /// collects per-cluster counters/histograms under "batch/". Pass
   /// `cluster_sizes` to observe the formed cluster sizes (appended in
@@ -136,6 +148,31 @@ class BatchServer {
   void ResetStats() { stats_ = BatchStats{}; }
 
  private:
+  /// Per-query prune state of one shared traversal.
+  struct QueryState {
+    const BatchQuery* in = nullptr;
+    ServerReply* out = nullptr;
+    int needed = 0;
+    /// Dynamic top-k bound: max-heap of the best k object distances fed to
+    /// this query so far (lower-bound-known objects included, exactly like
+    /// the sequential iterator).
+    std::vector<double> best;
+    /// Best `needed` eligible objects so far: max-heap under the system
+    /// (distance, id) rank, front = worst.
+    std::vector<rtree::Neighbor> cand;
+  };
+  /// A queued index node. The cluster-local indices of the queries that
+  /// wanted it at push time are the slice [wanted_begin, wanted_begin +
+  /// wanted_len) of wanted_arena_.
+  struct NodeItem {
+    double key = 0.0;
+    uint64_t seq = 0;
+    const rtree::RStarTree::Node* node = nullptr;
+    geom::Mbr mbr;
+    size_t wanted_begin = 0;
+    uint32_t wanted_len = 0;
+  };
+
   void AnswerCluster(const std::vector<BatchQuery>& queries,
                      const std::vector<size_t>& members,
                      std::vector<ServerReply>* replies, obs::QueryTracer* tracer,
@@ -144,6 +181,13 @@ class BatchServer {
   SpatialServer* server_;
   BatchOptions options_;
   BatchStats stats_;
+
+  // Traversal scratch of AnswerCluster, kept across clusters so a warm
+  // shared traversal makes no heap allocation.
+  std::vector<QueryState> query_state_;
+  std::vector<NodeItem> node_queue_;  // binary heap, min (key, seq) on top
+  std::vector<uint32_t> wanted_arena_;
+  std::vector<uint32_t> live_;  // the queries the node being expanded serves
 };
 
 }  // namespace senn::core

@@ -25,19 +25,32 @@ SpatialServer::SpatialServer(std::vector<Poi> pois, rtree::RStarTree::Options tr
   }
 }
 
+template <typename Traversal>
+void SpatialServer::TraceBufferFetch(obs::QueryTracer* tracer, Traversal&& traverse) {
+  obs::ScopedSpan fetch(pager_ != nullptr ? tracer : nullptr, obs::Phase::kBufferFetch);
+  const storage::BufferPoolStats before =
+      fetch.active() ? pager_->pool().stats() : storage::BufferPoolStats{};
+  traverse();
+  if (fetch.active()) {
+    const storage::BufferPoolStats& after = pager_->pool().stats();
+    fetch.AddArg("hits", after.hits - before.hits);
+    fetch.AddArg("misses", after.misses - before.misses);
+    fetch.AddArg("evictions", after.evictions - before.evictions);
+  }
+}
+
 ServerReply SpatialServer::QueryKnn(geom::Vec2 q, int k, rtree::PruneBounds bounds,
                                     int already_certified, obs::QueryTracer* tracer) {
-  ServerReply reply;
-  int needed = k - already_certified;
-  if (needed < 0) needed = 0;
+  ServerReply reply = AnswerKnn(q, k, bounds, already_certified, tracer);
+  reply.inn_accesses = MeasureInn(q, k);
+  return reply;
+}
 
-  {
-    // Answering run: EINN with the client's bounds, through the storage
-    // engine when one is configured. buffer_fetch brackets only this run's
-    // pool activity — the comparison INN below never touches the pool.
-    obs::ScopedSpan fetch(pager_ != nullptr ? tracer : nullptr, obs::Phase::kBufferFetch);
-    const storage::BufferPoolStats before =
-        fetch.active() ? pager_->pool().stats() : storage::BufferPoolStats{};
+ServerReply SpatialServer::AnswerKnn(geom::Vec2 q, int k, rtree::PruneBounds bounds,
+                                     int already_certified, obs::QueryTracer* tracer) {
+  ServerReply reply;
+  const int needed = std::max(0, k - already_certified);
+  TraceBufferFetch(tracer, [&] {
     rtree::BestFirstNnIterator einn(tree_, q, bounds, count_mode_, k, pager_.get());
     while (static_cast<int>(reply.neighbors.size()) < needed) {
       auto n = einn.Next();
@@ -45,25 +58,18 @@ ServerReply SpatialServer::QueryKnn(geom::Vec2 q, int k, rtree::PruneBounds boun
       reply.neighbors.push_back({n->object.id, n->object.position, n->distance});
     }
     reply.einn_accesses = einn.accesses();
-    if (fetch.active()) {
-      const storage::BufferPoolStats& after = pager_->pool().stats();
-      fetch.AddArg("hits", after.hits - before.hits);
-      fetch.AddArg("misses", after.misses - before.misses);
-      fetch.AddArg("evictions", after.evictions - before.evictions);
-    }
-  }
+  });
+  RecordAnsweredQuery(reply.einn_accesses);
+  return reply;
+}
 
-  // Comparison run: plain INN answering the full k-NN query without help.
+rtree::AccessCounter SpatialServer::MeasureInn(geom::Vec2 q, int k) {
   rtree::BestFirstNnIterator inn(tree_, q, rtree::PruneBounds{}, count_mode_, k);
   for (int i = 0; i < k; ++i) {
     if (!inn.Next().has_value()) break;
   }
-  reply.inn_accesses = inn.accesses();
-
-  ++stats_.queries;
-  stats_.einn += reply.einn_accesses;
-  stats_.inn += reply.inn_accesses;
-  return reply;
+  stats_.inn += inn.accesses();
+  return inn.accesses();
 }
 
 ServerReply SpatialServer::QueryKnnWithRegion(geom::Vec2 q, int k, double horizon,
@@ -139,10 +145,7 @@ ServerReply SpatialServer::QueryKnnWithRegion(geom::Vec2 q, int k, double horizo
     }
     if (pinned) pager_->Unpin(node);
   };
-  {
-    obs::ScopedSpan fetch(pager_ != nullptr ? tracer : nullptr, obs::Phase::kBufferFetch);
-    const storage::BufferPoolStats before =
-        fetch.active() ? pager_->pool().stats() : storage::BufferPoolStats{};
+  TraceBufferFetch(tracer, [&] {
     expand(tree_.root());
     while (!queue.empty()) {
       Item item = queue.top();
@@ -155,24 +158,10 @@ ServerReply SpatialServer::QueryKnnWithRegion(geom::Vec2 q, int k, double horizo
         if (static_cast<int>(reply.neighbors.size()) >= k) break;  // plenty for the merge
       }
     }
-    if (fetch.active()) {
-      const storage::BufferPoolStats& after = pager_->pool().stats();
-      fetch.AddArg("hits", after.hits - before.hits);
-      fetch.AddArg("misses", after.misses - before.misses);
-      fetch.AddArg("evictions", after.evictions - before.evictions);
-    }
-  }
-
+  });
+  RecordAnsweredQuery(reply.einn_accesses);
   // Baseline: plain best-first kNN for the same k.
-  rtree::BestFirstNnIterator inn(tree_, q, rtree::PruneBounds{}, count_mode_, k);
-  for (int i = 0; i < k; ++i) {
-    if (!inn.Next().has_value()) break;
-  }
-  reply.inn_accesses = inn.accesses();
-
-  ++stats_.queries;
-  stats_.einn += reply.einn_accesses;
-  stats_.inn += reply.inn_accesses;
+  reply.inn_accesses = MeasureInn(q, k);
   return reply;
 }
 

@@ -2,14 +2,17 @@
 //
 // Indexes the POI data set with an R*-tree (branching factor 30, as in the
 // paper) and answers kNN queries with the best-first incremental NN
-// algorithm. For every query it runs BOTH
+// algorithm. The paper's server module runs BOTH
 //   * EINN — the extended algorithm with the client's pruning bounds
 //     (Section 3.3), which produces the answer, and
 //   * INN  — the original algorithm without bounds,
-// recording the node (page) accesses of each, exactly like the paper's
-// server module ("the server module executes both the original INN algorithm
-// and our extended INN algorithm ... to compare the performance improvement
-// with respect to page accesses", Section 4.4).
+// recording the node (page) accesses of each ("the server module executes
+// both the original INN algorithm and our extended INN algorithm ... to
+// compare the performance improvement with respect to page accesses",
+// Section 4.4). QueryKnn reproduces that module. The INN run is measurement
+// only — it never changes an answer — so it is split out: AnswerKnn is the
+// answering EINN run alone and MeasureInn the comparison run, which a
+// serving path that does not report Fig. 17's page counts can skip.
 #pragma once
 
 #include <cstdint>
@@ -87,8 +90,21 @@ class SpatialServer {
   /// `tracer`, when given and a storage engine is configured, receives one
   /// buffer_fetch span bracketing the answering traversal's pool activity
   /// (hit/miss/eviction deltas); the comparison run is never traced.
+  /// Equals AnswerKnn followed by MeasureInn.
   ServerReply QueryKnn(geom::Vec2 q, int k, rtree::PruneBounds bounds = {},
                        int already_certified = 0, obs::QueryTracer* tracer = nullptr);
+
+  /// The answering half of QueryKnn: the EINN run (through the storage
+  /// engine, with its buffer_fetch span) and the ServerStats fold of its
+  /// accesses. The reply's `inn_accesses` stay zero.
+  ServerReply AnswerKnn(geom::Vec2 q, int k, rtree::PruneBounds bounds = {},
+                        int already_certified = 0, obs::QueryTracer* tracer = nullptr);
+
+  /// The paper's comparison run: plain INN answering the full kNN query
+  /// without the client's help, never through the buffer pool (hypothetical
+  /// work must neither warm nor thrash the real frames). Returns its page
+  /// accesses and folds them into ServerStats::inn.
+  rtree::AccessCounter MeasureInn(geom::Vec2 q, int k);
 
   /// Region-aware kNN (extension beyond the paper's scalar bounds): the
   /// client ships its whole certain region R_c (the peer disks) plus the
@@ -125,18 +141,23 @@ class SpatialServer {
   /// batched answering path in core/batch_server, which drives the tree and
   /// the pool directly). Same object as pager(); null when in-memory.
   storage::NodePager* mutable_pager() { return pager_.get(); }
-  /// Folds one externally-answered query into the cumulative ServerStats —
-  /// the batched path answers through its own traversal but must show up in
-  /// the same PAR bookkeeping as QueryKnn-answered queries.
-  void RecordAnsweredQuery(const rtree::AccessCounter& einn,
-                           const rtree::AccessCounter& inn) {
+  /// Folds one externally-answered query's EINN accesses into the
+  /// cumulative ServerStats — the batched path answers through its own
+  /// traversal but must show up in the same PAR bookkeeping as
+  /// QueryKnn-answered queries (MeasureInn folds the INN side).
+  void RecordAnsweredQuery(const rtree::AccessCounter& einn) {
     ++stats_.queries;
     stats_.einn += einn;
-    stats_.inn += inn;
   }
   void ResetStats() { stats_ = ServerStats{}; }
 
  private:
+  /// Runs `traverse` — an answering traversal — inside one buffer_fetch
+  /// span carrying the pool's hit/miss/eviction deltas over it. No span
+  /// without a tracer or without a storage engine.
+  template <typename Traversal>
+  void TraceBufferFetch(obs::QueryTracer* tracer, Traversal&& traverse);
+
   std::vector<Poi> pois_;
   rtree::RStarTree tree_;
   rtree::AccessCountMode count_mode_;

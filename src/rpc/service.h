@@ -15,12 +15,18 @@
 // PruneBounds) each produce a well-formed kError reply in the request's
 // slot — never a crash, never a silent empty result.
 //
+// Answering work only, by default: the paper's comparison INN run is a
+// Fig. 17 measurement, not part of an answer, so replies carry all-zero
+// `inn_accesses` unless `batch.measure_inn` is set (the simulator's loopback
+// mode sets it to keep its reports byte-identical).
+//
 // Thread safety: AnswerGroup serializes on an internal mutex (the
 // SpatialServer/BatchServer engine and the buffer pool underneath are
 // single-threaded by contract), so any number of worker threads may call it
-// concurrently. Reply ENCODING for a group also runs under the lock; it is
-// microseconds against the traversal's page work, and keeping it inside
-// makes the metrics registry updates race-free too.
+// concurrently. Reply ENCODING for a group also runs under the lock (which
+// keeps the metrics registry updates race-free too), so the encoders sit in
+// the critical section every worker waits on: each one sizes its frame up
+// front and writes it in one pass into the group's output buffer (wire.cc).
 #pragma once
 
 #include <cstdint>
@@ -41,8 +47,9 @@ namespace senn::rpc {
 
 struct ServiceOptions {
   /// Clustering knobs of the per-group shared traversals. `max_group = 1`
-  /// answers every request with a verbatim sequential QueryKnn call — the
-  /// byte-identical default the simulator's loopback mode relies on.
+  /// answers every request with a verbatim sequential call — QueryKnn with
+  /// `measure_inn` (the byte-identical path the simulator's loopback mode
+  /// relies on), its answering half SpatialServer::AnswerKnn without.
   core::BatchOptions batch;
 };
 

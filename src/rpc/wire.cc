@@ -4,27 +4,72 @@
 #include <cmath>
 #include <cstring>
 
+#include "src/obs/paranoid.h"
+
 namespace senn::rpc {
 namespace {
 
-// Little-endian primitive writers. Appending through shifts (not memcpy of
-// host memory) keeps the wire format byte-stable on any host endianness.
-void PutU8(uint8_t v, std::vector<uint8_t>* out) { out->push_back(v); }
-void PutU16(uint16_t v, std::vector<uint8_t>* out) {
-  out->push_back(static_cast<uint8_t>(v));
-  out->push_back(static_cast<uint8_t>(v >> 8));
-}
-void PutU32(uint32_t v, std::vector<uint8_t>* out) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-void PutU64(uint64_t v, std::vector<uint8_t>* out) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-void PutI32(int32_t v, std::vector<uint8_t>* out) { PutU32(static_cast<uint32_t>(v), out); }
-void PutI64(int64_t v, std::vector<uint8_t>* out) { PutU64(static_cast<uint64_t>(v), out); }
-// IEEE-754 bit pattern: decoding reproduces the exact double, which is what
-// makes wire-transported replies bitwise-identical to in-process ones.
-void PutF64(double v, std::vector<uint8_t>* out) { PutU64(std::bit_cast<uint64_t>(v), out); }
+// Single-pass frame writer: grows `out` once by the whole frame, then
+// stores the header and the payload's little-endian fields in place. Storing
+// through shifts (not memcpy of host memory) keeps the wire format
+// byte-stable on any host endianness. The caller sizes the payload exactly;
+// a paranoid build checks that every reserved byte was written.
+class FrameWriter {
+ public:
+  FrameWriter(Opcode opcode, uint64_t request_id, size_t payload_len,
+              std::vector<uint8_t>* out) {
+    const size_t start = out->size();
+    out->resize(start + kHeaderSize + payload_len);
+    p_ = out->data() + start;
+    end_ = p_ + kHeaderSize + payload_len;
+    U32(kMagic);
+    U8(kProtocolVersion);
+    U8(static_cast<uint8_t>(opcode));
+    U16(0);  // reserved flags
+    U64(request_id);
+    U32(static_cast<uint32_t>(payload_len));
+  }
+  ~FrameWriter() { SENN_PARANOID_CHECK(p_ == end_, "frame payload size mismatch"); }
+  FrameWriter(const FrameWriter&) = delete;
+  FrameWriter& operator=(const FrameWriter&) = delete;
+
+  void U8(uint8_t v) { *p_++ = v; }
+  void U16(uint16_t v) {
+    U8(static_cast<uint8_t>(v));
+    U8(static_cast<uint8_t>(v >> 8));
+  }
+  void U32(uint32_t v) {
+    for (int i = 0; i < 4; ++i) *p_++ = static_cast<uint8_t>(v >> (8 * i));
+  }
+  void U64(uint64_t v) {
+    for (int i = 0; i < 8; ++i) *p_++ = static_cast<uint8_t>(v >> (8 * i));
+  }
+  void I32(int32_t v) { U32(static_cast<uint32_t>(v)); }
+  void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
+  // IEEE-754 bit pattern: decoding reproduces the exact double, which is
+  // what makes wire-transported replies bitwise-identical to in-process ones.
+  void F64(double v) { U64(std::bit_cast<uint64_t>(v)); }
+  void Bytes(const uint8_t* data, size_t n) {
+    if (n > 0) std::memcpy(p_, data, n);
+    p_ += n;
+  }
+  void Counter(const rtree::AccessCounter& c) {
+    U64(c.index_nodes);
+    U64(c.leaf_nodes);
+    U64(c.index_misses);
+    U64(c.leaf_misses);
+    U64(c.shared_misses);
+    U64(c.private_misses);
+  }
+
+ private:
+  uint8_t* p_ = nullptr;
+  uint8_t* end_ = nullptr;
+};
+
+// Encoded sizes of the fixed-width payload parts.
+constexpr size_t kCounterSize = 6 * 8;
+constexpr size_t kNeighborSize = 8 + 3 * 8;  // id, x, y, distance
 
 // Bounds-checked little-endian reader over one payload.
 class PayloadReader {
@@ -83,15 +128,6 @@ class PayloadReader {
   size_t pos_ = 0;
 };
 
-void PutCounter(const rtree::AccessCounter& c, std::vector<uint8_t>* out) {
-  PutU64(c.index_nodes, out);
-  PutU64(c.leaf_nodes, out);
-  PutU64(c.index_misses, out);
-  PutU64(c.leaf_misses, out);
-  PutU64(c.shared_misses, out);
-  PutU64(c.private_misses, out);
-}
-
 bool ReadCounter(PayloadReader* r, rtree::AccessCounter* c) {
   return r->ReadU64(&c->index_nodes) && r->ReadU64(&c->leaf_nodes) &&
          r->ReadU64(&c->index_misses) && r->ReadU64(&c->leaf_misses) &&
@@ -130,62 +166,57 @@ const char* ErrorCodeName(ErrorCode code) {
 
 void EncodeFrame(Opcode opcode, uint64_t request_id, const std::vector<uint8_t>& payload,
                  std::vector<uint8_t>* out) {
-  out->reserve(out->size() + kHeaderSize + payload.size());
-  PutU32(kMagic, out);
-  PutU8(kProtocolVersion, out);
-  PutU8(static_cast<uint8_t>(opcode), out);
-  PutU16(0, out);  // reserved flags
-  PutU64(request_id, out);
-  PutU32(static_cast<uint32_t>(payload.size()), out);
-  out->insert(out->end(), payload.begin(), payload.end());
+  FrameWriter w(opcode, request_id, payload.size(), out);
+  w.Bytes(payload.data(), payload.size());
 }
 
 void EncodeKnnRequest(uint64_t request_id, const KnnRequest& request,
                       std::vector<uint8_t>* out) {
-  std::vector<uint8_t> payload;
-  PutF64(request.q.x, &payload);
-  PutF64(request.q.y, &payload);
-  PutI32(request.k, &payload);
-  PutI32(request.already_certified, &payload);
+  const bool has_lower = request.bounds.lower.has_value();
+  const bool has_upper = request.bounds.upper.has_value();
+  const size_t payload_len = 8 + 8 + 4 + 4 + 1 + (has_lower ? 8 : 0) + (has_upper ? 8 : 0) + 8;
+  FrameWriter w(Opcode::kKnnRequest, request_id, payload_len, out);
+  w.F64(request.q.x);
+  w.F64(request.q.y);
+  w.I32(request.k);
+  w.I32(request.already_certified);
   uint8_t flags = 0;
-  if (request.bounds.lower.has_value()) flags |= kHasLower;
-  if (request.bounds.upper.has_value()) flags |= kHasUpper;
-  PutU8(flags, &payload);
-  if (request.bounds.lower.has_value()) PutF64(*request.bounds.lower, &payload);
-  if (request.bounds.upper.has_value()) PutF64(*request.bounds.upper, &payload);
-  PutI64(request.bounds.lower_id_cut, &payload);
-  EncodeFrame(Opcode::kKnnRequest, request_id, payload, out);
+  if (has_lower) flags |= kHasLower;
+  if (has_upper) flags |= kHasUpper;
+  w.U8(flags);
+  if (has_lower) w.F64(*request.bounds.lower);
+  if (has_upper) w.F64(*request.bounds.upper);
+  w.I64(request.bounds.lower_id_cut);
 }
 
 void EncodeKnnReply(uint64_t request_id, const core::ServerReply& reply,
                     std::vector<uint8_t>* out) {
-  std::vector<uint8_t> payload;
-  PutCounter(reply.einn_accesses, &payload);
-  PutCounter(reply.inn_accesses, &payload);
-  PutU32(static_cast<uint32_t>(reply.neighbors.size()), &payload);
+  const size_t payload_len = 2 * kCounterSize + 4 + kNeighborSize * reply.neighbors.size();
+  FrameWriter w(Opcode::kKnnReply, request_id, payload_len, out);
+  w.Counter(reply.einn_accesses);
+  w.Counter(reply.inn_accesses);
+  w.U32(static_cast<uint32_t>(reply.neighbors.size()));
   for (const core::RankedPoi& n : reply.neighbors) {
-    PutI64(n.id, &payload);
-    PutF64(n.position.x, &payload);
-    PutF64(n.position.y, &payload);
-    PutF64(n.distance, &payload);
+    w.I64(n.id);
+    w.F64(n.position.x);
+    w.F64(n.position.y);
+    w.F64(n.distance);
   }
-  EncodeFrame(Opcode::kKnnReply, request_id, payload, out);
 }
 
 void EncodeError(uint64_t request_id, const ErrorReply& error, std::vector<uint8_t>* out) {
-  std::vector<uint8_t> payload;
-  PutU32(static_cast<uint32_t>(error.code), &payload);
-  PutU32(static_cast<uint32_t>(error.message.size()), &payload);
-  payload.insert(payload.end(), error.message.begin(), error.message.end());
-  EncodeFrame(Opcode::kError, request_id, payload, out);
+  FrameWriter w(Opcode::kError, request_id, 4 + 4 + error.message.size(), out);
+  w.U32(static_cast<uint32_t>(error.code));
+  w.U32(static_cast<uint32_t>(error.message.size()));
+  w.Bytes(reinterpret_cast<const uint8_t*>(error.message.data()), error.message.size());
 }
 
 void EncodePing(uint64_t request_id, std::vector<uint8_t>* out) {
-  EncodeFrame(Opcode::kPing, request_id, {}, out);
+  FrameWriter w(Opcode::kPing, request_id, 0, out);
 }
 
 void EncodePong(uint64_t request_id, std::vector<uint8_t>* out) {
-  EncodeFrame(Opcode::kPong, request_id, {}, out);
+  FrameWriter w(Opcode::kPong, request_id, 0, out);
 }
 
 Result<KnnRequest> DecodeKnnRequest(const std::vector<uint8_t>& payload) {
@@ -224,7 +255,7 @@ Result<core::ServerReply> DecodeKnnReply(const std::vector<uint8_t>& payload) {
   if (!r.ReadU32(&count)) return Truncated("kKnnReply");
   // 32 bytes per neighbor: a count larger than the remaining payload is a
   // corrupt length, not a reason to allocate count entries up front.
-  if (static_cast<uint64_t>(count) * 32 != r.remaining()) {
+  if (static_cast<uint64_t>(count) * kNeighborSize != r.remaining()) {
     return Status::InvalidArgument("kKnnReply neighbor count disagrees with payload size");
   }
   reply.neighbors.reserve(count);

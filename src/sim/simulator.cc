@@ -49,6 +49,8 @@ void Simulator::BuildWorld() {
   core::BatchOptions batch;
   batch.cluster_cell_m = std::max(p.tx_range_m, 50.0);
   batch.max_group = config_.server_batch;
+  // The report carries Fig. 17's INN page counts on every server path.
+  batch.measure_inn = true;
   if (config_.server_transport == ServerTransport::kLoopback) {
     // Every server contact crosses the full rpc wire path. The QueryService
     // carries the same batch options the in-process BatchServer would get

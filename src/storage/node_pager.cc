@@ -77,7 +77,9 @@ void NodePager::RegisterSubtree(const rtree::RStarTree::Node* node) {
 }
 
 PageId NodePager::PageOf(const rtree::RStarTree::Node* node) {
-  auto [it, inserted] = page_of_.emplace(node, static_cast<PageId>(page_of_.size()));
+  // try_emplace, not emplace: emplace builds (allocates) a map node before
+  // it finds the key, and this lookup runs on every fetch and unpin.
+  auto [it, inserted] = page_of_.try_emplace(node, static_cast<PageId>(page_of_.size()));
   return it->second;
 }
 

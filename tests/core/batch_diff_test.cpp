@@ -2,7 +2,8 @@
 // generated worlds — uniform and hotspot-skewed, random and lattice-tied,
 // in-memory and paged, both access-accounting modes — every per-query reply
 // of BatchServer::AnswerBatch must be BITWISE identical to the sequential
-// SpatialServer::QueryKnn answer, at every batch size.
+// SpatialServer::QueryKnn answer, at every batch size, with the comparison
+// INN pass on and off.
 //
 // This is the enforcement of the equivalence contract in batch_server.h: the
 // shared traversal may visit nodes in a completely different order (and
@@ -51,7 +52,15 @@ WorldOptions VariantFor(int trial, bool hotspot) {
   return options;
 }
 
-void RunDiff(const BatchWorld& w, int trial, const char* family) {
+/// `w` and `twin` are two builds of the same world. `w` answers with the
+/// comparison INN pass on and is held to the sequential QueryKnn replies;
+/// `twin` replays the same calls with it off. INN never touches the buffer
+/// pool, so both pools see the same fetch history and the INN-off replies
+/// must keep every neighbor and the whole EINN access counter bitwise, with
+/// all-zero INN counters.
+void RunDiff(const BatchWorld& w, const BatchWorld& twin, int trial, const char* family) {
+  // World construction queried both servers identically (peer caches).
+  const rtree::AccessCounter twin_inn_before = twin.server->stats().inn;
   // Sequential baseline. Answers do not depend on server state (stats and
   // pool residency never reach the result), so one server serves both paths.
   std::vector<ServerReply> sequential;
@@ -59,11 +68,20 @@ void RunDiff(const BatchWorld& w, int trial, const char* family) {
   for (const BatchQuery& bq : w.queries) {
     sequential.push_back(
         w.server->QueryKnn(bq.q, bq.k, bq.bounds, bq.already_certified));
+    const ServerReply answer_only =
+        twin.server->AnswerKnn(bq.q, bq.k, bq.bounds, bq.already_certified);
+    EXPECT_EQ(answer_only.neighbors, sequential.back().neighbors)
+        << family << ", trial " << trial;
+    EXPECT_EQ(answer_only.einn_accesses, sequential.back().einn_accesses)
+        << family << ", trial " << trial;
+    EXPECT_EQ(answer_only.inn_accesses, rtree::AccessCounter{})
+        << family << ", trial " << trial;
   }
   for (int max_group : kBatchSizes) {
     BatchOptions options;
     options.cluster_cell_m = 250.0;
     options.max_group = max_group;
+    options.measure_inn = true;
     BatchServer batch(w.server.get(), options);
     std::vector<ServerReply> replies = batch.AnswerBatch(w.queries);
     ASSERT_EQ(replies.size(), w.queries.size());
@@ -82,20 +100,42 @@ void RunDiff(const BatchWorld& w, int trial, const char* family) {
     if (max_group == 1) {
       EXPECT_EQ(batch.stats().batched_queries, 0u);
     }
+
+    options.measure_inn = false;
+    BatchServer answer_only(twin.server.get(), options);
+    std::vector<ServerReply> off = answer_only.AnswerBatch(w.queries);
+    ASSERT_EQ(off.size(), w.queries.size());
+    for (size_t i = 0; i < off.size(); ++i) {
+      ExpectSameNeighbors(off[i].neighbors, sequential[i].neighbors, trial, i, family);
+      EXPECT_EQ(off[i].einn_accesses, replies[i].einn_accesses)
+          << family << ", trial " << trial << ", query " << i
+          << ", max_group " << max_group;
+      EXPECT_EQ(off[i].inn_accesses, rtree::AccessCounter{})
+          << family << ", trial " << trial << ", query " << i
+          << ", max_group " << max_group;
+    }
+    EXPECT_EQ(answer_only.stats().batched_queries, batch.stats().batched_queries);
   }
+  // The ServerStats fold: the same EINN side, nothing added on the INN side.
+  EXPECT_EQ(twin.server->stats().queries, w.server->stats().queries);
+  EXPECT_EQ(twin.server->stats().einn, w.server->stats().einn);
+  EXPECT_EQ(twin.server->stats().inn, twin_inn_before);
 }
 
 TEST(BatchDiffTest, UniformWorldsMatchSequentialAtEveryBatchSize) {
   for (int trial = 0; trial < kTrials; ++trial) {
-    RunDiff(BuildBatchWorld(trial, VariantFor(trial, false)), trial, "uniform");
+    const WorldOptions variant = VariantFor(trial, false);
+    RunDiff(BuildBatchWorld(trial, variant), BuildBatchWorld(trial, variant), trial,
+            "uniform");
   }
 }
 
 TEST(BatchDiffTest, HotspotWorldsMatchSequentialAtEveryBatchSize) {
   int clustered = 0;
   for (int trial = 0; trial < kTrials; ++trial) {
-    BatchWorld w = BuildBatchWorld(trial, VariantFor(trial, true));
-    RunDiff(w, trial, "hotspot");
+    const WorldOptions variant = VariantFor(trial, true);
+    BatchWorld w = BuildBatchWorld(trial, variant);
+    RunDiff(w, BuildBatchWorld(trial, variant), trial, "hotspot");
     BatchOptions options;
     options.cluster_cell_m = 250.0;
     options.max_group = 32;
@@ -112,7 +152,9 @@ TEST(BatchDiffTest, HotspotWorldsMatchSequentialAtEveryBatchSize) {
 
 TEST(BatchDiffTest, LatticeTieWorldsMatchSequentialAtEveryBatchSize) {
   for (int trial = 0; trial < kTrials; ++trial) {
-    RunDiff(BuildLatticeBatchWorld(trial, VariantFor(trial, false)), trial, "lattice");
+    const WorldOptions variant = VariantFor(trial, false);
+    RunDiff(BuildLatticeBatchWorld(trial, variant), BuildLatticeBatchWorld(trial, variant),
+            trial, "lattice");
   }
 }
 

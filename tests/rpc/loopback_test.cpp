@@ -41,7 +41,9 @@ TEST(LoopbackTest, BlockingCallMatchesDirectQueryKnnBitwise) {
   std::vector<core::Poi> pois = RandomPois(600, &rng);
   core::SpatialServer direct(pois);
   core::SpatialServer served(pois);  // identical world on both sides
-  QueryService service(&served, {});
+  ServiceOptions options;
+  options.batch.measure_inn = true;  // QueryKnn's comparison run included
+  QueryService service(&served, options);
   LoopbackTransport transport(&service);
   Client client(&transport);
 
@@ -55,6 +57,32 @@ TEST(LoopbackTest, BlockingCallMatchesDirectQueryKnnBitwise) {
   }
 }
 
+// Serving default: the comparison INN run is off, so replies carry the same
+// neighbors and EINN accounting as QueryKnn with all-zero INN counters.
+TEST(LoopbackTest, DefaultServiceRepliesWithZeroInnCounters) {
+  Rng rng = Rng(20060403).Stream("loopback/answer-only");
+  std::vector<core::Poi> pois = RandomPois(600, &rng);
+  core::SpatialServer direct(pois);
+  core::SpatialServer served(pois);
+  QueryService service(&served, {});
+  LoopbackTransport transport(&service);
+  Client client(&transport);
+
+  for (int trial = 0; trial < 40; ++trial) {
+    const KnnRequest request = RandomRequest(&rng);
+    const core::ServerReply want =
+        direct.QueryKnn(request.q, request.k, request.bounds, request.already_certified);
+    Result<core::ServerReply> got = client.Knn(request);
+    ASSERT_TRUE(got.ok()) << got.status().message();
+    EXPECT_EQ(got->neighbors, want.neighbors) << "trial " << trial;
+    EXPECT_EQ(got->einn_accesses, want.einn_accesses) << "trial " << trial;
+    EXPECT_EQ(got->inn_accesses, rtree::AccessCounter{}) << "trial " << trial;
+    EXPECT_GT(want.inn_accesses.total(), 0u) << "trial " << trial;
+  }
+  EXPECT_EQ(served.stats().inn, rtree::AccessCounter{});
+  EXPECT_EQ(served.stats().einn, direct.stats().einn);
+}
+
 TEST(LoopbackTest, PipelinedBurstIsOneGroupAnsweredLikeAnswerBatch) {
   Rng rng = Rng(20060403).Stream("loopback/burst");
   std::vector<core::Poi> pois = RandomPois(600, &rng);
@@ -63,6 +91,7 @@ TEST(LoopbackTest, PipelinedBurstIsOneGroupAnsweredLikeAnswerBatch) {
   core::BatchOptions batch;
   batch.cluster_cell_m = 250.0;
   batch.max_group = 8;
+  batch.measure_inn = true;  // whole replies compared, INN counters included
   core::SpatialServer ref_server(pois);
   core::BatchServer ref_batch(&ref_server, batch);
 

@@ -43,7 +43,9 @@ TEST(TcpPipelineTest, BlockingRoundTripMatchesDirectQuery) {
   std::vector<core::Poi> pois = WorldPois();
   core::SpatialServer oracle(pois);
   core::SpatialServer served(pois);
-  Server server(&served, {});
+  ServerOptions options;
+  options.service.batch.measure_inn = true;  // whole reply compared to QueryKnn
+  Server server(&served, options);
   ASSERT_TRUE(server.Start().ok());
 
   auto transport = ConnectTo(server);

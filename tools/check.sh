@@ -73,10 +73,11 @@ cmake --build "${PREFIX}-asan" -j "${JOBS}" --target net_test rpc_test sim_test 
 "${PREFIX}-asan/tests/snnn_oracle_test"
 "${PREFIX}-asan/tests/continuous_diff_test"
 
-stage "UBSan: net + sim + core + storage + geom + obs + ch + continuous test binaries"
+stage "UBSan: net + rpc + sim + core + storage + geom + obs + ch + continuous test binaries"
 cmake -B "${PREFIX}-ubsan" -S . -DSENN_SANITIZE=undefined -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-cmake --build "${PREFIX}-ubsan" -j "${JOBS}" --target net_test sim_test core_test storage_test geom_test obs_test batch_test ch_test snnn_oracle_test continuous_diff_test
+cmake --build "${PREFIX}-ubsan" -j "${JOBS}" --target net_test rpc_test sim_test core_test storage_test geom_test obs_test batch_test ch_test snnn_oracle_test continuous_diff_test
 "${PREFIX}-ubsan/tests/net_test"
+"${PREFIX}-ubsan/tests/rpc_test"
 "${PREFIX}-ubsan/tests/sim_test"
 "${PREFIX}-ubsan/tests/core_test"
 "${PREFIX}-ubsan/tests/storage_test"

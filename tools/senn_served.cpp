@@ -4,7 +4,9 @@
 // --area-side-m would build (the "world/poi" Rng stream), puts a
 // SpatialServer (optionally paged) under an rpc::Server, and serves the
 // binary wire protocol until SIGINT/SIGTERM. On shutdown it prints the
-// dispatch and engine counters plus the metrics registry JSON.
+// dispatch and engine counters plus the metrics registry JSON. It does
+// answering work only: the paper's comparison INN run stays off
+// (core::BatchOptions::measure_inn), so replies carry zero INN counters.
 //
 // Drive it with the rpc::Client library, e.g. bench_ext_server against a
 // already-running instance, or a quick smoke test:
