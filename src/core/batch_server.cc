@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <limits>
-#include <map>
 #include <utility>
 
 #include "src/obs/metrics.h"
@@ -13,15 +11,6 @@
 namespace senn::core {
 
 namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-/// Releases a traversal scratch vector grown past 64Ki entries after its
-/// cluster, so one request with a huge k does not pin its memory for the
-/// server's lifetime; smaller scratch is kept for the next cluster.
-template <typename T>
-void ReleaseIfLarge(std::vector<T>* scratch) {
-  if (scratch->capacity() > (size_t{1} << 16)) std::vector<T>().swap(*scratch);
-}
 
 /// Canonical content order within a tile: co-located requests with equal
 /// parameters are interchangeable, so sorting by content (input index as the
@@ -60,35 +49,47 @@ BatchServer::BatchServer(SpatialServer* server, BatchOptions options)
   if (options_.max_group < 1) options_.max_group = 1;
 }
 
-std::vector<std::vector<size_t>> BatchServer::FormClusters(
-    const std::vector<BatchQuery>& queries) const {
-  // The neighbor_grid tiling idiom, keyed sparsely: queries land in square
-  // tiles by floor division, so co-located points share a tile and a point
-  // exactly on a boundary belongs to the higher tile. std::map (never a hash
-  // map) fixes the tile iteration order to (x-tile, y-tile).
-  std::map<std::pair<int64_t, int64_t>, std::vector<size_t>> tiles;
+template <typename Visit>
+void BatchServer::ForEachCluster(const std::vector<BatchQuery>& queries, Visit&& visit) {
+  // The neighbor_grid tiling idiom: queries land in square tiles by floor
+  // division, so co-located points share a tile and a point exactly on a
+  // boundary belongs to the higher tile. One sort orders the tiles by
+  // (x-tile, y-tile) and the members within a tile canonically.
   const double cell = options_.cluster_cell_m;
+  tile_of_.resize(queries.size());
+  member_order_.resize(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     const geom::Vec2 p = queries[i].q;
-    tiles[{static_cast<int64_t>(std::floor(p.x / cell)),
-           static_cast<int64_t>(std::floor(p.y / cell))}]
-        .push_back(i);
+    tile_of_[i] = {static_cast<int64_t>(std::floor(p.x / cell)),
+                   static_cast<int64_t>(std::floor(p.y / cell))};
+    member_order_[i] = i;
   }
-  std::vector<std::vector<size_t>> clusters;
-  for (auto& [tile, members] : tiles) {
-    std::sort(members.begin(), members.end(), [&](size_t a, size_t b) {
-      if (ContentBefore(queries[a], queries[b])) return true;
-      if (ContentBefore(queries[b], queries[a])) return false;
-      return a < b;  // content-identical: interchangeable, keep input order
-    });
-    for (size_t begin = 0; begin < members.size();
-         begin += static_cast<size_t>(options_.max_group)) {
-      const size_t end =
-          std::min(members.size(), begin + static_cast<size_t>(options_.max_group));
-      clusters.emplace_back(members.begin() + static_cast<ptrdiff_t>(begin),
-                            members.begin() + static_cast<ptrdiff_t>(end));
+  std::sort(member_order_.begin(), member_order_.end(), [&](size_t a, size_t b) {
+    if (tile_of_[a] != tile_of_[b]) return tile_of_[a] < tile_of_[b];
+    if (ContentBefore(queries[a], queries[b])) return true;
+    if (ContentBefore(queries[b], queries[a])) return false;
+    return a < b;  // content-identical: interchangeable, keep input order
+  });
+  const size_t cap = static_cast<size_t>(options_.max_group);
+  for (size_t begin = 0; begin < member_order_.size();) {
+    size_t tile_end = begin + 1;
+    while (tile_end < member_order_.size() &&
+           tile_of_[member_order_[tile_end]] == tile_of_[member_order_[begin]]) {
+      ++tile_end;
+    }
+    for (; begin < tile_end; begin += std::min(cap, tile_end - begin)) {
+      visit(std::span<const size_t>(member_order_).subspan(
+          begin, std::min(cap, tile_end - begin)));
     }
   }
+}
+
+std::vector<std::vector<size_t>> BatchServer::FormClusters(
+    const std::vector<BatchQuery>& queries) {
+  std::vector<std::vector<size_t>> clusters;
+  ForEachCluster(queries, [&](std::span<const size_t> members) {
+    clusters.emplace_back(members.begin(), members.end());
+  });
   return clusters;
 }
 
@@ -97,7 +98,7 @@ std::vector<ServerReply> BatchServer::AnswerBatch(const std::vector<BatchQuery>&
                                                   obs::MetricsRegistry* metrics,
                                                   std::vector<size_t>* cluster_sizes) {
   std::vector<ServerReply> replies(queries.size());
-  for (const std::vector<size_t>& members : FormClusters(queries)) {
+  ForEachCluster(queries, [&](std::span<const size_t> members) {
     if (cluster_sizes != nullptr) cluster_sizes->push_back(members.size());
     if (members.size() == 1) {
       // Sequential delegation: a cluster of one is exactly a QueryKnn call
@@ -111,227 +112,36 @@ std::vector<ServerReply> BatchServer::AnswerBatch(const std::vector<BatchQuery>&
               : server_->AnswerKnn(bq.q, bq.k, bq.bounds, bq.already_certified, tracer);
       ++stats_.queries;
       ++stats_.singleton_queries;
-      continue;
+      return;
     }
     AnswerCluster(queries, members, &replies, tracer, metrics);
-  }
+  });
   return replies;
 }
 
 void BatchServer::AnswerCluster(const std::vector<BatchQuery>& queries,
-                                const std::vector<size_t>& members,
+                                std::span<const size_t> members,
                                 std::vector<ServerReply>* replies,
                                 obs::QueryTracer* tracer, obs::MetricsRegistry* metrics) {
-  const rtree::RStarTree& tree = server_->tree();
-  storage::NodePager* pager = server_->mutable_pager();
-  const rtree::AccessCountMode mode = server_->count_mode();
-  const uint32_t m = static_cast<uint32_t>(members.size());
-
+  const size_t m = members.size();
   obs::ScopedSpan span(tracer, obs::Phase::kServerBatchEinn);
 
-  // Per-query prune state: the sequential BestFirstNnIterator's bounds
-  // translated to the shared traversal, plus the bounded candidate heap that
-  // replaces the global queue's object entries. The scratch vectors keep
-  // their capacity from earlier clusters.
-  if (query_state_.size() < m) query_state_.resize(m);
-  for (uint32_t j = 0; j < m; ++j) {
-    QueryState& p = query_state_[j];
-    p.in = &queries[members[j]];
-    p.out = &(*replies)[members[j]];
-    p.needed = std::max(0, p.in->k - p.in->already_certified);
-    p.best.clear();
-    p.cand.clear();
+  group_.clear();
+  for (size_t i : members) {
+    const BatchQuery& bq = queries[i];
+    group_.push_back({bq.q, bq.k, bq.bounds, std::max(0, bq.k - bq.already_certified)});
   }
-  std::vector<QueryState>& pq = query_state_;
-  std::vector<NodeItem>& queue = node_queue_;
-  std::vector<uint32_t>& arena = wanted_arena_;
-  std::vector<uint32_t>& live = live_;
-  queue.clear();
-  arena.clear();
-
-  auto by_rank = [](const rtree::Neighbor& a, const rtree::Neighbor& b) {
-    return RanksBefore(a.distance, a.object.id, b.distance, b.object.id);
-  };
-  auto feed = [](QueryState& p, double d) {
-    if (p.in->k <= 0) return;  // degenerate request: no bound to maintain
-    if (static_cast<int>(p.best.size()) < p.in->k) {
-      p.best.push_back(d);
-      std::push_heap(p.best.begin(), p.best.end());
-    } else if (d < p.best.front()) {
-      std::pop_heap(p.best.begin(), p.best.end());
-      p.best.back() = d;
-      std::push_heap(p.best.begin(), p.best.end());
-    }
-  };
-  auto eff_upper = [](const QueryState& p) {
-    double upper = p.in->bounds.upper.value_or(kInf);
-    if (p.in->k > 0 && static_cast<int>(p.best.size()) >= p.in->k) {
-      upper = std::min(upper, p.best.front());
-    }
-    return upper;
-  };
-  // A query's reach: the largest MINDIST at which it may still want a node.
-  // Beyond it the upper bound (static or dynamic) or its full candidate heap
-  // rules the node out; MINDIST == the worst candidate's distance is within
-  // reach, since the node may hold a co-distant object with a smaller id.
-  // Reach only shrinks as the traversal proceeds.
-  auto reach = [&](const QueryState& p) {
-    if (p.needed <= 0) return -kInf;
-    double r = eff_upper(p);
-    if (static_cast<int>(p.cand.size()) >= p.needed) r = std::min(r, p.cand.front().distance);
-    return r;
-  };
-  // The live-query prune rule: within reach and not ruled out by downward
-  // (MAXDIST < lower) pruning. MAXDIST is only evaluated for a query that
-  // carries a lower bound.
-  auto wants_node = [&](const QueryState& p, const geom::Mbr& mbr, double mindist) {
-    if (mindist > reach(p)) return false;
-    return !(p.in->bounds.lower.has_value() && mbr.MaxDist(p.in->q) < *p.in->bounds.lower);
-  };
-
-  // The shared node queue: min-over-wanting-queries MINDIST, equal keys in
-  // push order (node identity, i.e. the pointer, never enters the order).
-  auto node_greater = [](const NodeItem& a, const NodeItem& b) {
-    // senn-lint: allow(L5-float-eq): strict-weak-order tie detection —
-    // both keys come from the same MinDist code path, so equal means
-    // bit-identical, and exact ties must fall through to the FIFO rule.
-    if (a.key != b.key) return a.key > b.key;
-    return a.seq > b.seq;
-  };
-  uint64_t push_seq = 0;
-
+  if (group_replies_.size() < m) group_replies_.resize(m);
   rtree::AccessCounter cluster_counter;
-  // One fetch per node for the whole cluster (the double-charge fix):
-  // attributed to the first wanting query, classified shared when >= 2
-  // queries read it. Per-query misses therefore partition the cluster's
-  // unique-page misses.
-  auto charge = [&](const rtree::RStarTree::Node* node, uint32_t first_wanting,
-                    size_t wanting) {
-    return rtree::ChargeBatchNodeAccess(node, &pq[first_wanting].out->einn_accesses,
-                                        &cluster_counter, wanting >= 2, pager);
-  };
-
-  // Expands `node` for the queries in `live`.
-  auto expand = [&](const rtree::RStarTree::Node* node) {
-    if (node->IsLeaf()) {
-      for (const rtree::RStarTree::Slot& s : node->slots) {
-        for (uint32_t j : live) {
-          QueryState& p = pq[j];
-          double d = geom::Dist(p.in->q, s.object.position);
-          // Lower-bound-known objects feed the dynamic bound but are never
-          // reported — including the boundary id-cut rule of the sequential
-          // iterator (knn.cc): a co-distant object past the client's rank
-          // cut lost the id tie-break and must still be reported.
-          if (p.in->bounds.lower.has_value() &&
-              (d < *p.in->bounds.lower ||
-               // senn-lint: allow(L5-float-eq): bit-exact boundary tie —
-               // the client's lower bound is a cached radius from the same
-               // Dist() chain; same rule as the sequential EINN leaf scan.
-               (d == *p.in->bounds.lower && s.object.id <= p.in->bounds.lower_id_cut))) {
-            feed(p, d);
-            continue;
-          }
-          if (d > eff_upper(p)) continue;
-          feed(p, d);
-          if (p.needed <= 0) continue;
-          if (static_cast<int>(p.cand.size()) < p.needed) {
-            p.cand.push_back({s.object, d});
-            std::push_heap(p.cand.begin(), p.cand.end(), by_rank);
-          } else if (RanksBefore(d, s.object.id, p.cand.front().distance,
-                                 p.cand.front().object.id)) {
-            std::pop_heap(p.cand.begin(), p.cand.end(), by_rank);
-            p.cand.back() = {s.object, d};
-            std::push_heap(p.cand.begin(), p.cand.end(), by_rank);
-          }
-        }
-      }
-      return;
-    }
-    for (const rtree::RStarTree::Slot& s : node->slots) {
-      NodeItem item;
-      item.node = s.child.get();
-      item.mbr = s.mbr;
-      item.wanted_begin = arena.size();
-      double key = kInf;
-      for (uint32_t j : live) {
-        const double mindist = s.mbr.MinDist(pq[j].in->q);
-        if (!wants_node(pq[j], s.mbr, mindist)) continue;
-        arena.push_back(j);
-        key = std::min(key, mindist);
-      }
-      item.wanted_len = static_cast<uint32_t>(arena.size() - item.wanted_begin);
-      if (item.wanted_len == 0) continue;
-      item.key = key;
-      item.seq = push_seq++;
-      if (mode == rtree::AccessCountMode::kOnEnqueue) {
-        // Enqueue accounting fetches the child as it enters the queue;
-        // the pin is transient (expansion reads the queued copy).
-        if (charge(item.node, arena[item.wanted_begin], item.wanted_len)) {
-          pager->Unpin(item.node);
-        }
-      }
-      queue.push_back(item);
-      std::push_heap(queue.begin(), queue.end(), node_greater);
-    }
-  };
-
-  // The root is always fetched once for the cluster, in both accounting
-  // modes — the batch mirror of the sequential constructor's root charge.
-  {
-    live.resize(m);
-    for (uint32_t j = 0; j < m; ++j) live[j] = j;
-    const bool pinned = charge(tree.root(), 0, m);
-    expand(tree.root());
-    if (pinned) pager->Unpin(tree.root());
+  server_->AnswerGroup(group_, std::span<ServerReply>(group_replies_).first(m),
+                       &cluster_counter);
+  for (size_t j = 0; j < m; ++j) {
+    ServerReply& reply = (*replies)[members[j]];
+    reply = std::move(group_replies_[j]);
+    // The comparison INN run, per query and never through the pool, exactly
+    // like the sequential QueryKnn.
+    if (options_.measure_inn) reply.inn_accesses = server_->MeasureInn(group_[j].q, group_[j].k);
   }
-
-  while (!queue.empty()) {
-    // Keys pop in nondecreasing order, every wanting query's MINDIST is at
-    // least the key, and reach only shrinks: once the smallest key is beyond
-    // every query's reach, no queued node will be wanted again, and the
-    // remaining pops would all be skips (no fetch, no charge).
-    double max_reach = -kInf;
-    for (uint32_t j = 0; j < m; ++j) max_reach = std::max(max_reach, reach(pq[j]));
-    if (queue.front().key > max_reach) break;
-    std::pop_heap(queue.begin(), queue.end(), node_greater);
-    const NodeItem item = queue.back();
-    queue.pop_back();
-    // Pop-time re-check against the tightened per-query state: a node every
-    // pushing query has since pruned is skipped — without a fetch in expand
-    // accounting (enqueue accounting already charged it, like the
-    // sequential iterator charges queued-but-prunable nodes).
-    live.clear();
-    for (size_t w = item.wanted_begin; w < item.wanted_begin + item.wanted_len; ++w) {
-      const uint32_t j = arena[w];
-      if (wants_node(pq[j], item.mbr, item.mbr.MinDist(pq[j].in->q))) live.push_back(j);
-    }
-    if (live.empty()) continue;
-    bool pinned = false;
-    if (mode == rtree::AccessCountMode::kOnExpand) {
-      pinned = charge(item.node, live.front(), live.size());
-    }
-    expand(item.node);
-    if (pinned) pager->Unpin(item.node);
-  }
-
-  // Per-query finalization: candidates in ascending rank order become the
-  // reply, then — when measured — the comparison INN run (never through the
-  // pool) and the ServerStats fold: exactly what the sequential QueryKnn
-  // records.
-  for (uint32_t j = 0; j < m; ++j) {
-    QueryState& p = pq[j];
-    std::sort(p.cand.begin(), p.cand.end(), by_rank);
-    p.out->neighbors.reserve(p.cand.size());
-    for (const rtree::Neighbor& n : p.cand) {
-      p.out->neighbors.push_back({n.object.id, n.object.position, n.distance});
-    }
-    if (options_.measure_inn) p.out->inn_accesses = server_->MeasureInn(p.in->q, p.in->k);
-    server_->RecordAnsweredQuery(p.out->einn_accesses);
-    ReleaseIfLarge(&p.best);
-    ReleaseIfLarge(&p.cand);
-  }
-  ReleaseIfLarge(&queue);
-  ReleaseIfLarge(&arena);
 
   stats_.queries += m;
   stats_.batched_queries += m;

@@ -9,31 +9,21 @@
 // group with ONE best-first traversal that keeps per-query bounds, so a page
 // wanted by several queries is fetched (and charged) once.
 //
-// Algorithm (per cluster of m >= 2 queries):
-//  * a single priority queue of index nodes ordered by the MINIMUM MINDIST
-//    over the queries that still want the node, equal keys popping in push
-//    order (deterministic FIFO — node identity never enters the order);
-//  * per query: the EINN prune state of the sequential iterator (static
-//    lower/upper bounds with the lower-bound id cut, the dynamic top-k bag)
-//    plus a bounded candidate max-heap under the system
-//    core::RanksBefore (distance, id) rank;
-//  * a node is skipped only when EVERY live query prunes it — by the upper
-//    bound, by downward (MAXDIST < lower) pruning, or because the query's
-//    candidate heap is full and MINDIST exceeds its worst candidate (a node
-//    that cannot improve any query's answer is dead weight); once the
-//    smallest queued key is beyond every query's reach, all remaining pops
-//    would be such skips and the traversal stops;
-//  * each visited node is fetched ONCE through the storage engine and
-//    charged once (rtree::ChargeBatchNodeAccess), attributed to the first
-//    wanting query in cluster order and classified shared/private in the
-//    cluster counter, so per-query miss counts sum exactly to the shared
-//    traversal's unique-page count.
+// The traversal itself is the server's one kNN kernel
+// (rtree::SharedKnnTraversal, reached through SpatialServer::AnswerGroup):
+// one node queue ordered by the minimum MINDIST over the queries that want a
+// node, per-query EINN prune state and bounded candidate heaps, and each
+// visited node fetched ONCE through the storage engine — billed to the
+// first query that reads it, and classified shared/private in the cluster
+// counter (BatchStats::shared_traversal). Per-query replies carry no miss
+// split; per-query misses sum exactly to the cluster's unique-page misses.
+// This class forms the clusters and keeps the batch span, metrics and stats.
 //
 // Equivalence contract (enforced by tests/core/batch_diff_test.cpp, not by
 // inspection): for system-consistent inputs — bounds computed by
 // CandidateHeap::ComputeBounds from a certified rank prefix of
 // `already_certified` POIs, as every SennProcessor server contact ships —
-// the per-query replies are BITWISE identical to sequential
+// the per-query neighbors are BITWISE identical to sequential
 // SpatialServer::QueryKnn answers: the k - already_certified best POIs
 // outside the client's certain set, ascending by (distance, id), with
 // distances from the same geom::Dist evaluations. Singleton clusters (and
@@ -44,14 +34,14 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "src/core/server.h"
 #include "src/core/types.h"
-#include "src/geom/mbr.h"
 #include "src/geom/vec2.h"
 #include "src/rtree/knn.h"
-#include "src/rtree/rstar_tree.h"
 
 namespace senn::obs {
 class MetricsRegistry;
@@ -131,7 +121,8 @@ class BatchServer {
                                        obs::MetricsRegistry* metrics = nullptr,
                                        std::vector<size_t>* cluster_sizes = nullptr);
 
-  /// Deterministic cluster formation (exposed for the formation tests):
+  /// Deterministic cluster formation (exposed for the formation tests; the
+  /// answering path walks the same order without building the vectors):
   /// queries map to square tiles of cluster_cell_m (floor division, so a
   /// point exactly on a tile boundary belongs to the higher tile), tiles are
   /// processed in (x-tile, y-tile) order, members within a tile are put in
@@ -140,54 +131,32 @@ class BatchServer {
   /// that order. The assignment is a pure function of the query MULTISET:
   /// shuffling the input permutes only content-identical queries, which are
   /// interchangeable by construction.
-  std::vector<std::vector<size_t>> FormClusters(
-      const std::vector<BatchQuery>& queries) const;
+  std::vector<std::vector<size_t>> FormClusters(const std::vector<BatchQuery>& queries);
 
   const BatchStats& stats() const { return stats_; }
   const BatchOptions& options() const { return options_; }
   void ResetStats() { stats_ = BatchStats{}; }
 
  private:
-  /// Per-query prune state of one shared traversal.
-  struct QueryState {
-    const BatchQuery* in = nullptr;
-    ServerReply* out = nullptr;
-    int needed = 0;
-    /// Dynamic top-k bound: max-heap of the best k object distances fed to
-    /// this query so far (lower-bound-known objects included, exactly like
-    /// the sequential iterator).
-    std::vector<double> best;
-    /// Best `needed` eligible objects so far: max-heap under the system
-    /// (distance, id) rank, front = worst.
-    std::vector<rtree::Neighbor> cand;
-  };
-  /// A queued index node. The cluster-local indices of the queries that
-  /// wanted it at push time are the slice [wanted_begin, wanted_begin +
-  /// wanted_len) of wanted_arena_.
-  struct NodeItem {
-    double key = 0.0;
-    uint64_t seq = 0;
-    const rtree::RStarTree::Node* node = nullptr;
-    geom::Mbr mbr;
-    size_t wanted_begin = 0;
-    uint32_t wanted_len = 0;
-  };
+  /// Sorts the query indices into member_order_ by (tile x, tile y,
+  /// content, index) and calls `visit` with each cluster: a run of one tile,
+  /// cut into chunks of max_group.
+  template <typename Visit>
+  void ForEachCluster(const std::vector<BatchQuery>& queries, Visit&& visit);
 
   void AnswerCluster(const std::vector<BatchQuery>& queries,
-                     const std::vector<size_t>& members,
-                     std::vector<ServerReply>* replies, obs::QueryTracer* tracer,
-                     obs::MetricsRegistry* metrics);
+                     std::span<const size_t> members, std::vector<ServerReply>* replies,
+                     obs::QueryTracer* tracer, obs::MetricsRegistry* metrics);
 
   SpatialServer* server_;
   BatchOptions options_;
   BatchStats stats_;
 
-  // Traversal scratch of AnswerCluster, kept across clusters so a warm
-  // shared traversal makes no heap allocation.
-  std::vector<QueryState> query_state_;
-  std::vector<NodeItem> node_queue_;  // binary heap, min (key, seq) on top
-  std::vector<uint32_t> wanted_arena_;
-  std::vector<uint32_t> live_;  // the queries the node being expanded serves
+  // Scratch kept across batches, so a warm batch allocates only its replies.
+  std::vector<std::pair<int64_t, int64_t>> tile_of_;  // by query index
+  std::vector<size_t> member_order_;
+  std::vector<rtree::KnnQuery> group_;
+  std::vector<ServerReply> group_replies_;
 };
 
 }  // namespace senn::core

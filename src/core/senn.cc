@@ -1,7 +1,6 @@
 #include "src/core/senn.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "src/obs/trace.h"
 
@@ -165,36 +164,6 @@ PendingSenn SennProcessor::Prepare(geom::Vec2 q, int k,
   pending.k = k;
   pending.heap_capacity = heap_capacity;
   pending.certain = heap.certain();
-
-  if (options_.ship_region && outcome.bounds.upper.has_value()) {
-    // Region protocol (extension): the server returns every POI within the
-    // upper-bound horizon that lies outside R_c; the client merges with ALL
-    // the POIs it knows (everything inside R_c is cached at some peer).
-    // There is no batched region path, so the contact happens here and the
-    // query comes back complete.
-    obs::ScopedSpan server_span(tracer, obs::Phase::kServerEinn);
-    std::vector<geom::Circle> region;
-    region.reserve(peers.size());
-    for (const CachedResult* peer : peers) {
-      region.emplace_back(peer->query_location, peer->Radius());
-    }
-    const ServerReply reply = server_->QueryKnnWithRegion(
-        q, heap_capacity, *outcome.bounds.upper, region, tracer);
-    std::vector<RankedPoi> merged;
-    std::unordered_set<PoiId> seen;
-    for (const CachedResult* peer : peers) {
-      for (const RankedPoi& n : peer->neighbors) {
-        if (!seen.insert(n.id).second) continue;
-        merged.push_back({n.id, n.position, geom::Dist(q, n.position)});
-      }
-    }
-    for (const RankedPoi& n : reply.neighbors) {
-      if (seen.insert(n.id).second) merged.push_back(n);
-    }
-    pending.certain = std::move(merged);  // Finish sorts/truncates/publishes
-    Finish(&pending, reply, &server_span);
-    return pending;
-  }
 
   pending.needs_server = true;
   return pending;

@@ -60,13 +60,6 @@ struct SennOptions {
   /// cached prefix. Off by default: Algorithm 1 processes every peer, and
   /// fatter caches help the neighborhood.
   bool early_exit = false;
-  /// Extension beyond the paper: when the heap is full (an upper bound
-  /// exists), ship the entire certain region R_c (the peer disks) to the
-  /// server instead of only the scalar bounds, enabling region-covered
-  /// subtree pruning (SpatialServer::QueryKnnWithRegion). Falls back to the
-  /// scalar protocol when no upper bound is available. Off by default: the
-  /// paper's protocol ships two scalars.
-  bool ship_region = false;
 };
 
 /// Outcome of one SENN execution.
@@ -94,11 +87,10 @@ struct SennOutcome {
 
 /// A SENN execution paused at the server boundary (the batched-answering
 /// seam). `Prepare` runs every client-side stage; when the query needs the
-/// scalar-protocol server contact it stops there with `needs_server` set and
-/// the exact QueryKnn arguments captured, so a driver can group many pending
-/// queries into one core::BatchServer call and hand each reply to `Finish`.
-/// Queries resolved locally (and region-protocol contacts, which have no
-/// batched path) come back complete with `needs_server` false.
+/// server contact it stops there with `needs_server` set and the exact
+/// QueryKnn arguments captured, so a driver can group many pending queries
+/// into one core::BatchServer call and hand each reply to `Finish`. Queries
+/// resolved locally come back complete with `needs_server` false.
 struct PendingSenn {
   bool needs_server = false;
   SennOutcome outcome;
@@ -128,7 +120,7 @@ class SennProcessor {
                       obs::QueryTracer* tracer = nullptr) const;
 
   /// First half of Execute: all peer stages, heap classification, bounds
-  /// computation, and any region-protocol contact. When the result has
+  /// computation. When the result has
   /// `needs_server` set, the caller owes a
   /// `server->QueryKnn(p.q, p.heap_capacity, p.outcome.bounds,
   /// p.certain.size())` reply (or a batched equivalent) passed to Finish.

@@ -1,10 +1,8 @@
 #include "src/core/server.h"
 
 #include <algorithm>
-#include <queue>
 
 #include "src/core/range.h"
-#include "src/geom/region.h"
 #include "src/obs/trace.h"
 #include "src/rtree/bulk_load.h"
 
@@ -49,120 +47,35 @@ ServerReply SpatialServer::QueryKnn(geom::Vec2 q, int k, rtree::PruneBounds boun
 ServerReply SpatialServer::AnswerKnn(geom::Vec2 q, int k, rtree::PruneBounds bounds,
                                      int already_certified, obs::QueryTracer* tracer) {
   ServerReply reply;
-  const int needed = std::max(0, k - already_certified);
-  TraceBufferFetch(tracer, [&] {
-    rtree::BestFirstNnIterator einn(tree_, q, bounds, count_mode_, k, pager_.get());
-    while (static_cast<int>(reply.neighbors.size()) < needed) {
-      auto n = einn.Next();
-      if (!n.has_value()) break;
-      reply.neighbors.push_back({n->object.id, n->object.position, n->distance});
-    }
-    reply.einn_accesses = einn.accesses();
-  });
-  RecordAnsweredQuery(reply.einn_accesses);
+  const rtree::KnnQuery query{q, k, bounds, std::max(0, k - already_certified)};
+  TraceBufferFetch(tracer, [&] { AnswerGroup({&query, 1}, {&reply, 1}); });
   return reply;
+}
+
+void SpatialServer::AnswerGroup(std::span<const rtree::KnnQuery> group,
+                                std::span<ServerReply> replies,
+                                rtree::AccessCounter* group_accesses) {
+  knn_.Run(tree_, group, count_mode_, pager_.get(), group_accesses);
+  for (size_t j = 0; j < group.size(); ++j) {
+    ServerReply& reply = replies[j];
+    const std::span<const rtree::Neighbor> found = knn_.neighbors(j);
+    reply.neighbors.clear();
+    reply.neighbors.reserve(found.size());
+    for (const rtree::Neighbor& n : found) {
+      reply.neighbors.push_back({n.object.id, n.object.position, n.distance});
+    }
+    reply.einn_accesses = knn_.accesses(j);
+    reply.inn_accesses = rtree::AccessCounter{};
+    ++stats_.queries;
+    stats_.einn += reply.einn_accesses;
+  }
 }
 
 rtree::AccessCounter SpatialServer::MeasureInn(geom::Vec2 q, int k) {
-  rtree::BestFirstNnIterator inn(tree_, q, rtree::PruneBounds{}, count_mode_, k);
-  for (int i = 0; i < k; ++i) {
-    if (!inn.Next().has_value()) break;
-  }
-  stats_.inn += inn.accesses();
-  return inn.accesses();
-}
-
-ServerReply SpatialServer::QueryKnnWithRegion(geom::Vec2 q, int k, double horizon,
-                                              const std::vector<geom::Circle>& region,
-                                              obs::QueryTracer* tracer) {
-  ServerReply reply;
-  // Best-first search with three pruning sources: the client's horizon (its
-  // k-th candidate distance), the running k-th-best distance over ALL seen
-  // objects (region-known ones included — they occupy result ranks on the
-  // client side), and region coverage of whole subtrees.
-  struct Item {
-    double key;
-    const rtree::RStarTree::Node* node;  // null for objects
-    RankedPoi poi;
-  };
-  // Same tie rule as BestFirstNnIterator: at equal key nodes pop before
-  // objects (a node with MINDIST == d may hide a co-distant smaller-id
-  // object), and co-distant objects pop in ascending id.
-  auto greater = [](const Item& a, const Item& b) {
-    // senn-lint: allow(L5-float-eq): strict-weak-order tie detection. Both
-    // keys come from the same MinDist/Dist code path, so "equal" means
-    // bit-identical, and exact ties must fall through to the id rules.
-    if (a.key != b.key) return a.key > b.key;
-    const bool a_object = a.node == nullptr;
-    const bool b_object = b.node == nullptr;
-    if (a_object != b_object) return a_object;
-    if (a_object) return a.poi.id > b.poi.id;
-    return false;
-  };
-  std::priority_queue<Item, std::vector<Item>, decltype(greater)> queue(greater);
-  std::priority_queue<double> best;  // max-heap of the k best seen distances
-  auto effective_bound = [&]() {
-    double bound = horizon;
-    if (static_cast<int>(best.size()) >= k) bound = std::min(bound, best.top());
-    return bound;
-  };
-  auto feed = [&](double d) {
-    if (static_cast<int>(best.size()) < k) {
-      best.push(d);
-    } else if (d < best.top()) {
-      best.pop();
-      best.push(d);
-    }
-  };
-  auto in_region = [&](geom::Vec2 p) {
-    for (const geom::Circle& c : region) {
-      if (c.Contains(p)) return true;
-    }
-    return false;
-  };
-  auto expand = [&](const rtree::RStarTree::Node* node) {
-    const bool pinned = rtree::ChargeNodeAccess(node, &reply.einn_accesses, pager_.get());
-    for (const rtree::RStarTree::Slot& s : node->slots) {
-      if (node->IsLeaf()) {
-        double d = geom::Dist(q, s.object.position);
-        if (d > effective_bound()) continue;
-        feed(d);
-        if (!in_region(s.object.position)) {
-          queue.push({d, nullptr, {s.object.id, s.object.position, d}});
-        }
-      } else {
-        if (s.mbr.MinDist(q) > effective_bound()) continue;
-        // Region-covered subtrees contain only client-known POIs. Skip them
-        // only once the dynamic bound is saturated: before that, reading
-        // them feeds the bound with true nearby distances (skipping early
-        // would widen the search and cost more than it saves).
-        if (static_cast<int>(best.size()) >= k &&
-            geom::MbrCoveredByDiskUnion(s.mbr, region)) {
-          continue;
-        }
-        queue.push({s.mbr.MinDist(q), s.child.get(), {}});
-      }
-    }
-    if (pinned) pager_->Unpin(node);
-  };
-  TraceBufferFetch(tracer, [&] {
-    expand(tree_.root());
-    while (!queue.empty()) {
-      Item item = queue.top();
-      if (item.key > effective_bound() && item.node != nullptr) break;
-      queue.pop();
-      if (item.node != nullptr) {
-        expand(item.node);
-      } else {
-        reply.neighbors.push_back(item.poi);
-        if (static_cast<int>(reply.neighbors.size()) >= k) break;  // plenty for the merge
-      }
-    }
-  });
-  RecordAnsweredQuery(reply.einn_accesses);
-  // Baseline: plain best-first kNN for the same k.
-  reply.inn_accesses = MeasureInn(q, k);
-  return reply;
+  const rtree::KnnQuery query{q, k, rtree::PruneBounds{}, k};
+  knn_.Run(tree_, {&query, 1}, count_mode_);
+  stats_.inn += knn_.accesses(0);
+  return knn_.accesses(0);
 }
 
 ServerReply SpatialServer::QueryRange(geom::Vec2 q, double radius, double inner) {

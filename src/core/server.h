@@ -2,7 +2,7 @@
 //
 // Indexes the POI data set with an R*-tree (branching factor 30, as in the
 // paper) and answers kNN queries with the best-first incremental NN
-// algorithm. The paper's server module runs BOTH
+// algorithm, run by the one shared kernel of rtree/knn.h. The paper's server module runs BOTH
 //   * EINN — the extended algorithm with the client's pruning bounds
 //     (Section 3.3), which produces the answer, and
 //   * INN  — the original algorithm without bounds,
@@ -18,10 +18,10 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "src/core/types.h"
-#include "src/geom/circle.h"
 #include "src/geom/vec2.h"
 #include "src/rtree/knn.h"
 #include "src/rtree/rstar_tree.h"
@@ -94,32 +94,28 @@ class SpatialServer {
   ServerReply QueryKnn(geom::Vec2 q, int k, rtree::PruneBounds bounds = {},
                        int already_certified = 0, obs::QueryTracer* tracer = nullptr);
 
-  /// The answering half of QueryKnn: the EINN run (through the storage
-  /// engine, with its buffer_fetch span) and the ServerStats fold of its
-  /// accesses. The reply's `inn_accesses` stay zero.
+  /// The answering half of QueryKnn: the EINN run (a group of one through
+  /// AnswerGroup, with its buffer_fetch span). The reply's `inn_accesses`
+  /// stay zero.
   ServerReply AnswerKnn(geom::Vec2 q, int k, rtree::PruneBounds bounds = {},
                         int already_certified = 0, obs::QueryTracer* tracer = nullptr);
+
+  /// Answers a group of kNN queries with ONE best-first traversal — the
+  /// kernel every answer runs (rtree::SharedKnnTraversal) — through the
+  /// storage engine: each node is fetched and charged once for the group.
+  /// `replies[j]` is overwritten with the answer to `group[j]`: its
+  /// neighbors, the accesses billed to it (no shared/private miss split),
+  /// zero `inn_accesses`. Every query is folded into ServerStats.
+  /// `group_accesses`, when given, accumulates the group-level counter:
+  /// every charged node once, misses split shared/private.
+  void AnswerGroup(std::span<const rtree::KnnQuery> group, std::span<ServerReply> replies,
+                   rtree::AccessCounter* group_accesses = nullptr);
 
   /// The paper's comparison run: plain INN answering the full kNN query
   /// without the client's help, never through the buffer pool (hypothetical
   /// work must neither warm nor thrash the real frames). Returns its page
   /// accesses and folds them into ServerStats::inn.
   rtree::AccessCounter MeasureInn(geom::Vec2 q, int k);
-
-  /// Region-aware kNN (extension beyond the paper's scalar bounds): the
-  /// client ships its whole certain region R_c (the peer disks) plus the
-  /// search horizon (its k-th candidate distance). The server runs a
-  /// best-first search returning the nearest POIs that lie OUTSIDE the
-  /// region — the client knows everything inside — with three prunings:
-  /// the horizon, the running k-th-best distance over all objects seen
-  /// (region-known ones count: they occupy client-side result ranks), and
-  /// whole subtrees covered by the region (geom::MbrCoveredByDiskUnion).
-  /// At most k POIs are returned — enough for the client to merge with its
-  /// known set and take the exact top k. `einn_accesses` holds the pruned
-  /// search's pages; `inn_accesses` the plain INN kNN cost for the same k.
-  ServerReply QueryKnnWithRegion(geom::Vec2 q, int k, double horizon,
-                                 const std::vector<geom::Circle>& region,
-                                 obs::QueryTracer* tracer = nullptr);
 
   /// Answers a range query: every POI with inner < distance <= radius,
   /// ascending. `inner` is the client's certain radius (POIs inside it are
@@ -137,18 +133,6 @@ class SpatialServer {
   /// Note ResetStats() clears the query counters but not the pool's
   /// residency: a warmed pool is the steady state being measured.
   const storage::NodePager* pager() const { return pager_.get(); }
-  /// Mutable storage engine for traversals run OUTSIDE this class (the
-  /// batched answering path in core/batch_server, which drives the tree and
-  /// the pool directly). Same object as pager(); null when in-memory.
-  storage::NodePager* mutable_pager() { return pager_.get(); }
-  /// Folds one externally-answered query's EINN accesses into the
-  /// cumulative ServerStats — the batched path answers through its own
-  /// traversal but must show up in the same PAR bookkeeping as
-  /// QueryKnn-answered queries (MeasureInn folds the INN side).
-  void RecordAnsweredQuery(const rtree::AccessCounter& einn) {
-    ++stats_.queries;
-    stats_.einn += einn;
-  }
   void ResetStats() { stats_ = ServerStats{}; }
 
  private:
@@ -163,6 +147,8 @@ class SpatialServer {
   rtree::AccessCountMode count_mode_;
   std::unique_ptr<storage::NodePager> pager_;
   ServerStats stats_;
+  // Traversal scratch shared by every answer and measurement run.
+  rtree::SharedKnnTraversal knn_;
 };
 
 }  // namespace senn::core

@@ -34,26 +34,6 @@ double ConvexPieceRegion::Area() const {
   return total;
 }
 
-bool MbrCoveredByDiskUnion(const Mbr& box, const std::vector<Circle>& cover,
-                           const PolygonizeOptions& options) {
-  if (box.IsEmpty()) return true;
-  if (cover.empty()) return false;
-  // Quick single-disk win: a disk covers the box iff it contains the
-  // farthest corner (exact, no polygonization loss).
-  for (const Circle& c : cover) {
-    if (box.MaxDist(c.center) <= c.radius) return true;
-  }
-  ConvexPieceRegion remainder(ConvexPolygon(
-      {{box.lo.x, box.lo.y}, {box.hi.x, box.lo.y}, {box.hi.x, box.hi.y}, {box.lo.x, box.hi.y}}));
-  for (const Circle& c : cover) {
-    if (c.radius <= 0.0) continue;
-    remainder.SubtractConvex(ConvexPolygon::InscribedInCircle(c, options.sides),
-                             options.min_area);
-    if (remainder.IsEmpty()) return true;
-  }
-  return remainder.IsEmpty();
-}
-
 bool PolygonizedDiskCoveredByUnion(const Circle& subject, const std::vector<Circle>& cover,
                                    const PolygonizeOptions& options) {
   if (cover.empty()) return false;

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "src/geom/circle.h"
-#include "src/geom/mbr.h"
 #include "src/geom/polygon.h"
 
 namespace senn::geom {
@@ -65,13 +64,5 @@ struct PolygonizeOptions {
 /// caused by the polygon approximation.
 bool PolygonizedDiskCoveredByUnion(const Circle& subject, const std::vector<Circle>& cover,
                                    const PolygonizeOptions& options = {});
-
-/// True iff the axis-aligned rectangle is covered by the union of disks.
-/// Conservative (inscribed polygonization of the disks): a `true` verdict is
-/// exact; a `false` may be a false negative. Used by the region-aware server
-/// pruning extension: an MBR covered by the clients' certain region R_c
-/// contains only POIs the client already knows.
-bool MbrCoveredByDiskUnion(const Mbr& box, const std::vector<Circle>& cover,
-                           const PolygonizeOptions& options = {});
 
 }  // namespace senn::geom

@@ -41,12 +41,12 @@ struct AccessCounter {
   uint64_t leaf_nodes = 0;
   uint64_t index_misses = 0;
   uint64_t leaf_misses = 0;
-  /// Batched-traversal attribution split (core/batch_server): of the
-  /// physical misses, how many pages were wanted by two or more queries of
-  /// the answering cluster (`shared_misses`) versus exactly one
-  /// (`private_misses`). Charged only through ChargeBatchNodeAccess, so
-  /// both stay zero on every single-query traversal and
-  /// shared_misses + private_misses == misses() on a cluster counter.
+  /// Shared-traversal attribution split (rtree::SharedKnnTraversal): of
+  /// the physical misses, how many pages were read by two or more queries
+  /// of the answering group (`shared_misses`) versus exactly one
+  /// (`private_misses`). Charged only into a group counter by
+  /// ChargeBatchNodeAccess, so both stay zero on every per-query counter and
+  /// shared_misses + private_misses == misses() on a group counter.
   uint64_t shared_misses = 0;
   uint64_t private_misses = 0;
 
@@ -199,20 +199,21 @@ inline bool ChargeNodeAccess(const RStarTree::Node* node, AccessCounter* counter
   return hook != nullptr;
 }
 
-/// Multi-query companion of ChargeNodeAccess for batched traversals
-/// (core/batch_server): the node is fetched ONCE for the whole cluster — one
-/// logical access, at most one physical miss — no matter how many queries
-/// read its slots, which is what closes the double-charge hazard of running
-/// N per-query traversals over the same pages. The access is attributed to
-/// `owner` (the per-query counter it is billed to) and mirrored into
-/// `cluster` (the shared-traversal total), where a miss is additionally
-/// classified shared (`shared` true: two or more queries wanted the node)
-/// or private. Returns true when the hook pinned a page — the caller owes
-/// one hook->Unpin(node) after reading the slots. Any pointer may be null.
+/// Multi-query companion of ChargeNodeAccess for shared traversals
+/// (rtree::SharedKnnTraversal): the node is fetched ONCE for the whole
+/// group — one logical access, at most one physical miss — no matter how
+/// many queries read its slots, which is what closes the double-charge
+/// hazard of running N per-query traversals over the same pages. The access
+/// is billed to `owner` (the per-query counter) and mirrored into `group`
+/// (the shared-traversal total); only the group counter classifies a miss
+/// as shared (`shared` true: two or more queries read the node) or private,
+/// so a per-query counter looks exactly like a single-query traversal's.
+/// Returns true when the hook pinned a page — the caller owes one
+/// hook->Unpin(node) after reading the slots. Any pointer may be null.
 inline bool ChargeBatchNodeAccess(const RStarTree::Node* node, AccessCounter* owner,
-                                  AccessCounter* cluster, bool shared, NodePageHook* hook) {
+                                  AccessCounter* group, bool shared, NodePageHook* hook) {
   const bool miss = hook != nullptr && hook->Fetch(node);
-  for (AccessCounter* counter : {owner, cluster}) {
+  for (AccessCounter* counter : {owner, group}) {
     if (counter == nullptr) continue;
     if (node->IsLeaf()) {
       counter->leaf_nodes += 1;
@@ -221,12 +222,12 @@ inline bool ChargeBatchNodeAccess(const RStarTree::Node* node, AccessCounter* ow
       counter->index_nodes += 1;
       if (miss) counter->index_misses += 1;
     }
-    if (miss) {
-      if (shared) {
-        counter->shared_misses += 1;
-      } else {
-        counter->private_misses += 1;
-      }
+  }
+  if (miss && group != nullptr) {
+    if (shared) {
+      group->shared_misses += 1;
+    } else {
+      group->private_misses += 1;
     }
   }
   return hook != nullptr;

@@ -18,11 +18,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "src/core/batch_server.h"
 #include "src/core/senn.h"
+#include "src/rtree/bulk_load.h"
+#include "src/rtree/knn.h"
+#include "src/storage/node_pager.h"
 #include "tests/core/batch_test_util.h"
 
 #ifndef SENN_BATCH_TRIALS
@@ -155,6 +161,125 @@ TEST(BatchDiffTest, LatticeTieWorldsMatchSequentialAtEveryBatchSize) {
     const WorldOptions variant = VariantFor(trial, false);
     RunDiff(BuildLatticeBatchWorld(trial, variant), BuildLatticeBatchWorld(trial, variant),
             trial, "lattice");
+  }
+}
+
+/// The sequential server spelled with the incremental iterator: the answer
+/// is BestFirstNnIterator(q, bounds, mode, k) driven through the pool to
+/// k - already_certified results, the INN measurement a bound-free iterator
+/// driven to k results without the pool. It is built over its own copy of
+/// the tree, with its own pager, so the two sides' pools must see the same
+/// fetch/unpin sequence to agree.
+class IteratorReference {
+ public:
+  IteratorReference(const std::vector<Poi>& pois, const WorldOptions& options)
+      : mode_(options.count_mode) {
+    std::vector<rtree::ObjectEntry> entries;
+    for (const Poi& poi : pois) entries.push_back({poi.position, poi.id});
+    tree_ = rtree::BulkLoad(std::move(entries), SpatialServer::DefaultTreeOptions());
+    if (options.paged) {
+      storage::BufferPoolOptions pool;
+      pool.capacity_pages = 8;
+      pager_ = std::make_unique<storage::NodePager>(&tree_, pool);
+    }
+  }
+
+  ServerReply Answer(const BatchQuery& bq) {
+    ServerReply reply;
+    rtree::BestFirstNnIterator einn(tree_, bq.q, bq.bounds, mode_, bq.k, pager_.get());
+    while (static_cast<int>(reply.neighbors.size()) < bq.k - bq.already_certified) {
+      std::optional<rtree::Neighbor> n = einn.Next();
+      if (!n.has_value()) break;
+      reply.neighbors.push_back({n->object.id, n->object.position, n->distance});
+    }
+    reply.einn_accesses = einn.accesses();
+    return reply;
+  }
+
+  rtree::AccessCounter Inn(geom::Vec2 q, int k) const {
+    rtree::BestFirstNnIterator inn(tree_, q, rtree::PruneBounds{}, mode_, k);
+    for (int i = 0; i < k; ++i) {
+      if (!inn.Next().has_value()) break;
+    }
+    return inn.accesses();
+  }
+
+  const storage::NodePager* pager() const { return pager_.get(); }
+
+ private:
+  rtree::AccessCountMode mode_;
+  rtree::RStarTree tree_;
+  std::unique_ptr<storage::NodePager> pager_;
+};
+
+void ExpectSamePool(const SpatialServer& server, const IteratorReference& reference,
+                    const std::string& where) {
+  ASSERT_EQ(server.pager() != nullptr, reference.pager() != nullptr) << where;
+  if (server.pager() == nullptr) return;
+  const storage::BufferPoolStats& got = server.pager()->pool().stats();
+  const storage::BufferPoolStats& want = reference.pager()->pool().stats();
+  EXPECT_EQ(got.logical, want.logical) << where;
+  EXPECT_EQ(got.hits, want.hits) << where;
+  EXPECT_EQ(got.misses, want.misses) << where;
+  EXPECT_EQ(got.evictions, want.evictions) << where;
+}
+
+/// Replays a world's requests — plus, per request, the degenerate k = 0 and
+/// already_certified >= k forms — on a fresh server and on the iterator
+/// reference: every neighbor, the whole AccessCounter of both runs, and the
+/// pool's counters after every call must agree.
+void RunKernelVsIterator(const BatchWorld& w, const WorldOptions& options, int trial,
+                         const char* family) {
+  SpatialServer server(
+      w.pois, SpatialServer::DefaultTreeOptions(), options.count_mode,
+      options.paged ? std::optional<storage::BufferPoolOptions>([] {
+        storage::BufferPoolOptions pool;
+        pool.capacity_pages = 8;
+        return pool;
+      }())
+                    : std::nullopt);
+  IteratorReference reference(w.pois, options);
+  std::vector<BatchQuery> requests;
+  for (const BatchQuery& bq : w.queries) {
+    requests.push_back(bq);
+    BatchQuery none = bq;
+    none.k = 0;
+    none.already_certified = 0;
+    requests.push_back(none);
+    BatchQuery covered = bq;
+    covered.already_certified = bq.k + static_cast<int>(requests.size() % 2);
+    requests.push_back(covered);
+  }
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const BatchQuery& bq = requests[i];
+    const std::string where = std::string(family) + ", trial " + std::to_string(trial) +
+                              ", request " + std::to_string(i);
+    const ServerReply got = server.AnswerKnn(bq.q, bq.k, bq.bounds, bq.already_certified);
+    const ServerReply want = reference.Answer(bq);
+    ExpectSameNeighbors(got.neighbors, want.neighbors, trial, i, family);
+    EXPECT_EQ(got.einn_accesses, want.einn_accesses) << where;
+    EXPECT_EQ(got.inn_accesses, rtree::AccessCounter{}) << where;
+    ExpectSamePool(server, reference, where);
+    EXPECT_EQ(server.MeasureInn(bq.q, bq.k), reference.Inn(bq.q, bq.k)) << where;
+    ExpectSamePool(server, reference, where);
+  }
+}
+
+// The one answering kernel at m = 1 is the iterator it replaced: AnswerKnn
+// and MeasureInn against BestFirstNnIterator driven the old way, over
+// uniform, hotspot and lattice worlds deep enough for three-level trees,
+// in-memory and paged, in both accounting modes.
+TEST(BatchDiffTest, SingleQueryKernelMatchesIteratorChargesAndPool) {
+  for (int trial = 0; trial < kTrials; ++trial) {
+    for (const char* family : {"uniform", "hotspot", "lattice"}) {
+      WorldOptions options = VariantFor(trial, std::string(family) == "hotspot");
+      options.max_pois = 2500;
+      options.max_lattice_side = 45;
+      const BatchWorld w = std::string(family) == "lattice"
+                               ? BuildLatticeBatchWorld(trial, options)
+                               : BuildBatchWorld(trial, options);
+      RunKernelVsIterator(w, options, trial, family);
+    }
   }
 }
 

@@ -47,6 +47,10 @@ struct WorldOptions {
   bool paged = false;
   rtree::AccessCountMode count_mode = rtree::AccessCountMode::kOnExpand;
   int max_queries = 14;
+  /// Upper end of the random POI count (uniform and hotspot worlds).
+  int max_pois = 120;
+  /// Upper end of the random lattice side, in POIs (lattice worlds).
+  int max_lattice_side = 8;
 };
 
 /// System-consistent prune bounds for (q, k): a peer cache (exact server
@@ -68,7 +72,7 @@ inline BatchWorld BuildBatchWorld(int trial, const WorldOptions& options) {
   BatchWorld w;
   Rng rng = Rng(0xBA7C4u).Stream(options.hotspot ? "batch-hot" : "batch-uni",
                                  static_cast<uint64_t>(trial));
-  const int n = static_cast<int>(rng.UniformInt(1, 120));
+  const int n = static_cast<int>(rng.UniformInt(1, static_cast<uint64_t>(options.max_pois)));
   geom::Vec2 hot[2] = {{rng.Uniform(0, kSide), rng.Uniform(0, kSide)},
                        {rng.Uniform(0, kSide), rng.Uniform(0, kSide)}};
   w.pois.reserve(static_cast<size_t>(n));
@@ -116,8 +120,9 @@ inline BatchWorld BuildLatticeBatchWorld(int trial, const WorldOptions& options)
   BatchWorld w;
   Rng rng = Rng(0xBA1A77u).Stream("batch-lattice", static_cast<uint64_t>(trial));
   const double spacing = 60.0;
-  const int cols = static_cast<int>(rng.UniformInt(3, 8));
-  const int rows = static_cast<int>(rng.UniformInt(3, 8));
+  const uint64_t side = static_cast<uint64_t>(options.max_lattice_side);
+  const int cols = static_cast<int>(rng.UniformInt(3, side));
+  const int rows = static_cast<int>(rng.UniformInt(3, side));
   int id = 0;
   for (int r = 0; r < rows; ++r) {
     for (int c = 0; c < cols; ++c) {

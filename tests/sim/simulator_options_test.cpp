@@ -96,17 +96,6 @@ TEST(SimulatorOptionsTest, KSweepRaisesServerLoad) {
   EXPECT_LT(Simulator(small_k).Run().pct_server, Simulator(big_k).Run().pct_server);
 }
 
-TEST(SimulatorOptionsTest, RegionProtocolRunsConsistently) {
-  SimulationConfig cfg = Base(Region::kLosAngeles, 13);
-  cfg.senn.ship_region = true;
-  SimulationResult r = Simulator(cfg).Run();
-  EXPECT_EQ(r.by_single_peer + r.by_multi_peer + r.by_server, r.measured_queries);
-  if (r.by_server > 0) {
-    // The region path records pages for its pruned search as EINN pages.
-    EXPECT_GT(r.inn_pages.mean(), 0.0);
-  }
-}
-
 TEST(SimulatorOptionsTest, ExplicitPauseOverridesDerived) {
   SimulationConfig cfg = Base(Region::kRiverside, 11);
   cfg.mean_pause_s = 1e6;  // hosts effectively never move after first pause

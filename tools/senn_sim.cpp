@@ -42,7 +42,6 @@ using namespace senn;
       "  --step S                         movement time step seconds (default 1)\n"
       "  --stationary-fraction            M_Percentage as population split (default: duty cycle)\n"
       "  --no-multi-peer                  disable kNN_multiple (ablation)\n"
-      "  --ship-region                    region-aware server protocol (extension)\n"
       "  --loss P                         per-transmission loss probability (default 0)\n"
       "  --latency-mean S                 mean one-way link latency seconds (default 0)\n"
       "  --reply-timeout S                reply collection deadline seconds (default 0.25)\n"
@@ -148,8 +147,6 @@ int main(int argc, char** argv) {
       cfg.m_percentage_mode = sim::MPercentageMode::kStationaryFraction;
     } else if (arg == "--no-multi-peer") {
       cfg.senn.enable_multi_peer = false;
-    } else if (arg == "--ship-region") {
-      cfg.senn.ship_region = true;
     } else if (arg == "--loss") {
       cfg.channel.loss = std::strtod(need(i++), nullptr);
       if (cfg.channel.loss < 0.0 || cfg.channel.loss > 1.0) Usage(argv[0]);
