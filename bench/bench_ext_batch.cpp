@@ -23,8 +23,13 @@
 // AnswerBatch call and, next to it, the same queries answered one by one
 // with SpatialServer::AnswerKnn — each the median of kTimedReps passes, each
 // pass on a freshly built server with a cold pool (construction untimed).
-// Both paths do answering work only (measure_inn off). The sequential
-// column repeats at every cap, which shows the run's timing noise.
+// Both paths do answering work only (measure_inn off), both keep every
+// reply until the pass ends, and both answer in the same order: the
+// sequential loop walks FormClusters flattened, the order AnswerBatch
+// answers in, so at cap 1 the two columns time the same AnswerKnn calls and
+// any gap at larger caps is sharing, not the locality of the tile sort.
+// That order does not depend on the cap, so the sequential column repeats
+// at every cap, which shows the run's timing noise.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -156,14 +161,23 @@ int main(int argc, char** argv) {
       std::vector<core::ServerReply> replies =
           batch.AnswerBatch(queries, nullptr, nullptr, &cluster_sizes);
       std::vector<double> batch_us{MicrosSince(t0)};
+      std::vector<size_t> answer_order;
+      answer_order.reserve(queries.size());
+      for (const std::vector<size_t>& cluster : batch.FormClusters(queries)) {
+        answer_order.insert(answer_order.end(), cluster.begin(), cluster.end());
+      }
       std::vector<double> seq_us;
       // Batched and sequential passes alternate (the batched pass above is
       // the first), so host drift moves both columns alike.
       for (int rep = 0; rep < kTimedReps; ++rep) {
         std::unique_ptr<core::SpatialServer> seq_server = ColdServer(pois);
         t0 = Clock::now();
-        for (const core::BatchQuery& q : queries) {
-          seq_server->AnswerKnn(q.q, q.k, q.bounds, q.already_certified);
+        {
+          std::vector<core::ServerReply> seq_replies(queries.size());
+          for (size_t i : answer_order) {
+            const core::BatchQuery& q = queries[i];
+            seq_replies[i] = seq_server->AnswerKnn(q.q, q.k, q.bounds, q.already_certified);
+          }
         }
         seq_us.push_back(MicrosSince(t0));
         if (rep + 1 == kTimedReps) break;

@@ -51,19 +51,7 @@ std::vector<const CachedResult*> SennProcessor::UsablePeers(
 
 bool SennProcessor::ResolvesLocally(
     geom::Vec2 q, int k, const std::vector<const CachedResult*>& peer_caches) const {
-  const int heap_capacity = std::max(k, options_.server_request_k);
-  CandidateHeap heap(heap_capacity);
-  std::vector<const CachedResult*> peers = UsablePeers(q, peer_caches);
-  for (const CachedResult* peer : peers) {
-    if (options_.early_exit && heap.HasCertain(k)) break;
-    VerifySinglePeer(q, *peer, &heap);
-  }
-  if (heap.HasCertain(k)) return true;
-  if (options_.enable_multi_peer && peers.size() > 1) {
-    VerifyMultiPeer(q, peers, &heap, options_.multi_peer);
-    if (heap.HasCertain(k)) return true;
-  }
-  return options_.accept_uncertain && heap.IsFull();
+  return !Prepare(q, k, peer_caches).needs_server;
 }
 
 SennOutcome SennProcessor::Execute(geom::Vec2 q, int k,

@@ -136,9 +136,10 @@ class SennProcessor {
   void Finish(PendingSenn* pending, const ServerReply& reply,
               obs::ScopedSpan* span) const;
 
-  /// Runs only the peer stages of Algorithm 1 (kNN_single, kNN_multiple —
-  /// never the server) and reports whether the given peer set alone
-  /// certifies a k answer. This is the partial-peer entry point: a caller
+  /// Runs Prepare (the peer stages of Algorithm 1, never the server) and
+  /// reports whether the given peer set alone resolves a k query — certified
+  /// by one or several peers, or an accepted uncertain answer when
+  /// accept_uncertain is set. This is the partial-peer entry point: a caller
   /// whose harvest was truncated by the wireless channel can ask whether
   /// the complete peer set would have sufficed (classifying a server
   /// contact as loss-induced), without charging any page accesses.

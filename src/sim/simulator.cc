@@ -239,28 +239,22 @@ void Simulator::WarmStartCaches() {
   server_->ResetStats();  // priming traffic is not part of the experiment
 }
 
-core::SennOutcome Simulator::ExecuteQuery(MobileHost* host, double now, int k) {
-  PendingQuery pq;
-  PrepareQuery(host, now, k, &pq);
-  if (pq.pending.needs_server) {
-    obs::QueryTracer* tracer = pq.tracer.has_value() ? &*pq.tracer : nullptr;
-    obs::ScopedSpan server_span(tracer, obs::Phase::kServerEinn);
-    if (rpc_client_ != nullptr) {
-      // Loopback rpc: a blocking call is a dispatch group of one — a
-      // verbatim QueryKnn on the far side, bitwise reply included.
-      rpc_transport_->SetDispatchObservers(tracer, nullptr);
-      const core::ServerReply reply = KnnOverRpc(pq.pending);
-      rpc_transport_->SetDispatchObservers(nullptr, nullptr);
-      senn_->Finish(&pq.pending, reply, &server_span);
-    } else {
-      const core::ServerReply reply =
-          server_->QueryKnn(pq.pending.q, pq.pending.heap_capacity, pq.pending.outcome.bounds,
-                            static_cast<int>(pq.pending.certain.size()), tracer);
-      senn_->Finish(&pq.pending, reply, &server_span);
-    }
+void Simulator::ContactServer(PendingQuery* pq) {
+  obs::QueryTracer* tracer = pq->tracer.has_value() ? &*pq->tracer : nullptr;
+  obs::ScopedSpan server_span(tracer, obs::Phase::kServerEinn);
+  if (rpc_client_ != nullptr) {
+    // Loopback rpc: a blocking call is a dispatch group of one — a
+    // verbatim QueryKnn on the far side, bitwise reply included.
+    rpc_transport_->SetDispatchObservers(tracer, nullptr);
+    const core::ServerReply reply = KnnOverRpc(pq->pending);
+    rpc_transport_->SetDispatchObservers(nullptr, nullptr);
+    senn_->Finish(&pq->pending, reply, &server_span);
+  } else {
+    const core::ServerReply reply =
+        server_->QueryKnn(pq->pending.q, pq->pending.heap_capacity, pq->pending.outcome.bounds,
+                          static_cast<int>(pq->pending.certain.size()), tracer);
+    senn_->Finish(&pq->pending, reply, &server_span);
   }
-  FinalizeQuery(&pq);
-  return std::move(pq.pending.outcome);
 }
 
 core::ServerReply Simulator::KnnOverRpc(const core::PendingSenn& pending) {
@@ -374,13 +368,6 @@ void Simulator::PrepareQuery(MobileHost* host, double now, int k, PendingQuery* 
 }
 
 void Simulator::FinalizeQuery(PendingQuery* pq) {
-  last_p2p_messages_ = pq->p2p_messages;
-  last_p2p_bytes_ = pq->p2p_bytes;
-  last_latency_s_ = pq->latency_s;
-  last_retries_ = pq->retries;
-  last_transmissions_lost_ = pq->transmissions_lost;
-  last_replies_missed_ = pq->replies_missed;
-  last_loss_induced_fallback_ = pq->loss_induced;
   // Cache policy 1: keep the certain neighbors of the most recent query.
   const core::SennOutcome& outcome = pq->pending.outcome;
   if (!outcome.certain_prefix.empty()) {
@@ -442,7 +429,7 @@ void Simulator::DrainBatch(SimulationResult* result) {
     PendingQuery& pq = deferred_[i];
     senn_->Finish(&pq.pending, replies[i], nullptr);
     FinalizeQuery(&pq);
-    AccountQuery(pq.pending.outcome, pq.host, pq.now, pq.k, pq.measuring, result);
+    AccountQuery(pq, result);
   }
   // All of a drain's queries launched in the same step, so one flag covers
   // the batch-path counters too.
@@ -462,35 +449,34 @@ void Simulator::DrainBatch(SimulationResult* result) {
   deferred_.clear();
 }
 
-void Simulator::AccountQuery(const core::SennOutcome& outcome, MobileHost* host,
-                             double now, int k, bool measuring,
-                             SimulationResult* result) {
+void Simulator::AccountQuery(const PendingQuery& pq, SimulationResult* result) {
+  const core::SennOutcome& outcome = pq.pending.outcome;
   if (trace_ != nullptr) {
     QueryEvent event;
-    event.time_s = now;
-    event.host_id = host->id();
-    event.k = k;
+    event.time_s = pq.now;
+    event.host_id = pq.host->id();
+    event.k = pq.k;
     event.resolution = outcome.resolution;
     event.peers_in_range = outcome.peers_consulted;
     event.certain_count = static_cast<int>(outcome.certain_prefix.size());
     event.einn_pages = outcome.einn_accesses.total();
     event.inn_pages = outcome.inn_accesses.total();
-    event.measured = measuring;
+    event.measured = pq.measuring;
     trace_->Record(event);
   }
-  if (!measuring) return;
+  if (!pq.measuring) return;
   ++result->measured_queries;
   result->peers_in_range.Add(static_cast<double>(outcome.peers_consulted));
-  result->p2p_messages_per_query.Add(last_p2p_messages_);
-  result->p2p_bytes_per_query.Add(last_p2p_bytes_);
-  result->query_latency_s.Add(last_latency_s_);
-  result->latency_p50.Add(last_latency_s_);
-  result->latency_p95.Add(last_latency_s_);
-  result->latency_p99.Add(last_latency_s_);
-  result->retries_per_query.Add(static_cast<double>(last_retries_));
-  result->transmissions_lost += last_transmissions_lost_;
-  result->replies_missed += last_replies_missed_;
-  if (last_loss_induced_fallback_) ++result->loss_induced_server_fallbacks;
+  result->p2p_messages_per_query.Add(pq.p2p_messages);
+  result->p2p_bytes_per_query.Add(pq.p2p_bytes);
+  result->query_latency_s.Add(pq.latency_s);
+  result->latency_p50.Add(pq.latency_s);
+  result->latency_p95.Add(pq.latency_s);
+  result->latency_p99.Add(pq.latency_s);
+  result->retries_per_query.Add(static_cast<double>(pq.retries));
+  result->transmissions_lost += pq.transmissions_lost;
+  result->replies_missed += pq.replies_missed;
+  if (pq.loss_induced) ++result->loss_induced_server_fallbacks;
   switch (outcome.resolution) {
     case core::Resolution::kSinglePeer:
       ++result->by_single_peer;
@@ -689,22 +675,20 @@ SimulationResult Simulator::Run() {
       int k = config_.randomize_k
                   ? static_cast<int>(workload_rng.UniformInt(config_.k_min, config_.k_max))
                   : p.k_nn;
-      if (config_.server_batch > 1) {
-        // Batched mode (either transport): pause server-bound queries at
-        // the boundary and answer the whole step's crop together below.
-        PendingQuery pq;
-        PrepareQuery(host, now, k, &pq);
-        pq.measuring = measuring;
-        if (pq.pending.needs_server) {
+      PendingQuery pq;
+      PrepareQuery(host, now, k, &pq);
+      pq.measuring = measuring;
+      if (pq.pending.needs_server) {
+        if (config_.server_batch > 1) {
+          // Batched mode (either transport): pause server-bound queries at
+          // the boundary and answer the whole step's crop together below.
           deferred_.push_back(std::move(pq));
           continue;
         }
-        FinalizeQuery(&pq);
-        AccountQuery(pq.pending.outcome, host, now, k, measuring, &result);
-        continue;
+        ContactServer(&pq);
       }
-      core::SennOutcome outcome = ExecuteQuery(host, now, k);
-      AccountQuery(outcome, host, now, k, measuring, &result);
+      FinalizeQuery(&pq);
+      AccountQuery(pq, &result);
     }
     if (config_.server_batch > 1) DrainBatch(&result);
   }

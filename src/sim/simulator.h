@@ -282,9 +282,10 @@ class Simulator {
   const std::vector<core::Poi>& pois() const { return pois_; }
 
  private:
-  /// One query paused at the server boundary (config_.server_batch > 1):
-  /// the client-side stages already ran, the channel metrics are drawn, and
-  /// the batched drain owes it a server reply.
+  /// One query in flight: the client-side stages already ran and the
+  /// channel metrics are drawn. A server-bound query owes a reply — from
+  /// ContactServer right away, or from the step's batched drain
+  /// (config_.server_batch > 1).
   struct PendingQuery {
     MobileHost* host = nullptr;
     uint64_t qid = 0;
@@ -295,7 +296,7 @@ class Simulator {
     core::PendingSenn pending;
     /// Kept alive across the defer (spans were all closed by Prepare).
     std::optional<obs::QueryTracer> tracer;
-    // Channel metrics snapshot (the last_* values of the sequential path).
+    // Channel metrics, read back by AccountQuery.
     double p2p_messages = 0.0;
     double p2p_bytes = 0.0;
     double latency_s = 0.0;
@@ -307,30 +308,27 @@ class Simulator {
 
   void BuildWorld();
   void WarmStartCaches();
-  /// Executes one query from `host` at simulation time `now`; returns the
-  /// outcome for metric accounting. Exactly PrepareQuery + the sequential
-  /// server contact + FinalizeQuery.
-  core::SennOutcome ExecuteQuery(MobileHost* host, double now, int k);
+  /// The sequential server contact of one server-bound query: answers it
+  /// through the server (or the loopback rpc client) and merges the reply.
+  void ContactServer(PendingQuery* pq);
   /// One blocking server contact over the loopback rpc client (the
   /// kLoopback replacement for the direct QueryKnn call).
   core::ServerReply KnnOverRpc(const core::PendingSenn& pending);
-  /// Client-side half of ExecuteQuery: harvest, wireless exchange, SENN
+  /// Client-side half of a query: harvest, wireless exchange, SENN
   /// peer stages, channel draws (server RTT included — the "net" stream
   /// order must not depend on when the reply materializes).
   void PrepareQuery(MobileHost* host, double now, int k, PendingQuery* out);
-  /// Server-independent tail: publishes the channel metrics to the last_*
-  /// fields and applies cache policy 1.
+  /// Server-independent tail: applies cache policy 1.
   void FinalizeQuery(PendingQuery* pq);
-  /// Metric/trace accounting of one completed query (reads the last_*
-  /// fields; extracted from Run() so the batched drain shares it).
-  void AccountQuery(const core::SennOutcome& outcome, MobileHost* host, double now,
-                    int k, bool measuring, SimulationResult* result);
+  /// Metric/trace accounting of one completed query (shared by the
+  /// sequential path and the batched drain).
+  void AccountQuery(const PendingQuery& pq, SimulationResult* result);
   /// Answers every deferred query through the BatchServer and completes it.
   void DrainBatch(SimulationResult* result);
   /// One launch of continuous mode: advances `host`'s ContinuousKnn at its
   /// current position (local fast paths first; otherwise the wireless
   /// exchange harvests peer caches AND peer safe regions) and accounts the
-  /// step. The sequential-path replacement for ExecuteQuery + AccountQuery.
+  /// step. The continuous-mode replacement for a snapshot query.
   void ExecuteContinuousStep(MobileHost* host, double now, bool measuring,
                              SimulationResult* result);
 
@@ -356,14 +354,6 @@ class Simulator {
   QueryTrace* trace_ = nullptr;
   obs::TraceSink* span_sink_ = nullptr;
   uint64_t span_sample_ = 1;
-  // Per-query metrics of the most recent ExecuteQuery (read by Run()).
-  double last_p2p_messages_ = 0.0;
-  double last_p2p_bytes_ = 0.0;
-  double last_latency_s_ = 0.0;
-  int last_retries_ = 0;
-  uint64_t last_transmissions_lost_ = 0;
-  uint64_t last_replies_missed_ = 0;
-  bool last_loss_induced_fallback_ = false;
   /// Sequence number of the executed query; names its "net" RNG stream.
   uint64_t query_seq_ = 0;
   // Scratch buffers reused across queries.

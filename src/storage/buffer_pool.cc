@@ -27,37 +27,36 @@ BufferPool::~BufferPool() {
 BufferPool::FetchResult BufferPool::Fetch(PageId id) {
   auto it = table_.find(id);
   if (it != table_.end()) {
-    Frame& frame = *frames_[it->second];
+    Frame& frame = frames_[it->second];
     frame.pins += 1;
     frame.referenced = true;
     frame.last_use = ++tick_;
     ++stats_.logical;
     ++stats_.hits;
-    return {&frame.page, false};
+    return {false, false};
   }
 
   // Miss: find a frame — grow while below capacity (or unbounded), evict
   // otherwise.
   size_t index;
   if (options_.capacity_pages == 0 || frames_.size() < options_.capacity_pages) {
-    frames_.push_back(std::make_unique<Frame>());
+    frames_.emplace_back();
     index = frames_.size() - 1;
   } else {
     index = PickVictim();
-    if (index == kNoFrame) return {nullptr, false};  // every frame pinned
-    table_.erase(frames_[index]->page.id);
+    if (index == kNoFrame) return {true, false};  // every frame pinned
+    table_.erase(frames_[index].id);
     ++stats_.evictions;
   }
-  Frame& frame = *frames_[index];
-  frame.page.id = id;
-  frame.page.data.fill(std::byte{0});  // no stale bytes from the evicted page
+  Frame& frame = frames_[index];
+  frame.id = id;
   frame.pins = 1;
   frame.referenced = true;
   frame.last_use = ++tick_;
   table_[id] = index;
   ++stats_.logical;
   ++stats_.misses;
-  return {&frame.page, true};
+  return {false, true};
 }
 
 void BufferPool::Unpin(PageId id) {
@@ -65,7 +64,7 @@ void BufferPool::Unpin(PageId id) {
   assert(it != table_.end() && "Unpin of a non-resident page");
   SENN_PARANOID_CHECK(it != table_.end(), "Unpin of a non-resident page");
   if (it == table_.end()) return;
-  Frame& frame = *frames_[it->second];
+  Frame& frame = frames_[it->second];
   assert(frame.pins > 0 && "Unpin without a matching Fetch");
   SENN_PARANOID_CHECK(frame.pins > 0, "Unpin without a matching Fetch");
   if (frame.pins > 0) frame.pins -= 1;
@@ -73,13 +72,13 @@ void BufferPool::Unpin(PageId id) {
 
 uint32_t BufferPool::PinCount(PageId id) const {
   auto it = table_.find(id);
-  return it == table_.end() ? 0 : frames_[it->second]->pins;
+  return it == table_.end() ? 0 : frames_[it->second].pins;
 }
 
 size_t BufferPool::pinned_pages() const {
   size_t n = 0;
-  for (const std::unique_ptr<Frame>& frame : frames_) {
-    if (frame->pins > 0) ++n;
+  for (const Frame& frame : frames_) {
+    if (frame.pins > 0) ++n;
   }
   return n;
 }
@@ -94,7 +93,7 @@ size_t BufferPool::PickVictimLru() const {
   size_t victim = kNoFrame;
   uint64_t oldest = 0;
   for (size_t i = 0; i < frames_.size(); ++i) {
-    const Frame& frame = *frames_[i];
+    const Frame& frame = frames_[i];
     if (frame.pins > 0) continue;
     if (victim == kNoFrame || frame.last_use < oldest) {
       victim = i;
@@ -111,7 +110,7 @@ size_t BufferPool::PickVictimClock() {
   for (size_t step = 0; step < 2 * n; ++step) {
     const size_t index = clock_hand_;
     clock_hand_ = (clock_hand_ + 1) % n;
-    Frame& frame = *frames_[index];
+    Frame& frame = frames_[index];
     if (frame.pins > 0) continue;
     if (frame.referenced) {
       frame.referenced = false;

@@ -1,5 +1,7 @@
-// A buffer pool over fixed-size pages with pin/unpin semantics and
-// pluggable replacement (LRU, CLOCK).
+// A buffer pool over page ids with pin/unpin semantics and pluggable
+// replacement (LRU, CLOCK). It models residency, not bytes: a frame holds a
+// page id, a pin count, a CLOCK reference bit and an LRU tick — no payload
+// — so the pool's whole job is deciding hits, misses and evictions.
 //
 // Single-threaded by design: the spatial server processes one query at a
 // time per simulation, and the sweep engine isolates whole simulations per
@@ -18,7 +20,6 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -35,17 +36,16 @@ class BufferPool {
 
   /// Outcome of a Fetch.
   struct FetchResult {
-    /// The pinned page frame, or nullptr when the pool is at capacity with
-    /// every frame pinned (nothing is charged in that case).
-    Page* page = nullptr;
-    /// True when the page was not resident: the caller must materialize the
-    /// payload (the simulated disk read).
+    /// True when the pool is at capacity with every frame pinned: nothing
+    /// was pinned and nothing is charged.
+    bool exhausted = false;
+    /// True when the page was not resident (the simulated disk read).
     bool miss = false;
   };
 
   /// Pins page `id`, faulting it into a frame on a miss. A miss on a full
   /// pool evicts one unpinned resident page chosen by the replacement
-  /// policy; a freshly loaded frame has a zeroed payload.
+  /// policy.
   FetchResult Fetch(PageId id);
 
   /// Releases one pin of a resident page. Fetch/Unpin calls must pair.
@@ -63,7 +63,7 @@ class BufferPool {
 
  private:
   struct Frame {
-    Page page;
+    PageId id = kInvalidPageId;
     uint32_t pins = 0;
     bool referenced = false;  // CLOCK second-chance bit
     uint64_t last_use = 0;    // LRU recency (logical fetch tick)
@@ -77,31 +77,10 @@ class BufferPool {
 
   BufferPoolOptions options_;
   BufferPoolStats stats_;
-  // unique_ptr frames so Page* handed to callers stay stable across growth.
-  std::vector<std::unique_ptr<Frame>> frames_;
+  std::vector<Frame> frames_;
   std::unordered_map<PageId, size_t> table_;  // page id -> frame index
   size_t clock_hand_ = 0;
   uint64_t tick_ = 0;
-};
-
-/// RAII pin: fetches on construction, unpins on destruction. `hit()` and
-/// `page()` expose the outcome; a failed fetch leaves page() null.
-class PageGuard {
- public:
-  PageGuard(BufferPool* pool, PageId id) : pool_(pool), id_(id), result_(pool->Fetch(id)) {}
-  ~PageGuard() {
-    if (result_.page != nullptr) pool_->Unpin(id_);
-  }
-  PageGuard(const PageGuard&) = delete;
-  PageGuard& operator=(const PageGuard&) = delete;
-
-  Page* page() const { return result_.page; }
-  bool miss() const { return result_.miss; }
-
- private:
-  BufferPool* pool_;
-  PageId id_;
-  BufferPool::FetchResult result_;
 };
 
 }  // namespace senn::storage

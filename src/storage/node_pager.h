@@ -10,57 +10,30 @@
 // simulation with a bounded pool stays bit-reproducible. Nodes created by
 // later tree mutations are registered lazily in first-touch order.
 //
-// On a physical miss the node's contents are serialized into the page
-// frame (the simulated disk read): a PageHeader followed by per-slot
-// records — MBR + child page id at index levels, MBR + object at the leaf
-// level. A branching-factor-30 node fills well under half of a 4 KiB page,
-// which is exactly why the paper equates nodes with pages.
+// A fetch reads nothing: the pool tracks which pages are resident, and a
+// miss is the simulated disk read the paper's page count charges.
 #pragma once
 
 #include <cstdint>
 #include <unordered_map>
 
-#include "src/geom/mbr.h"
 #include "src/rtree/rstar_tree.h"
 #include "src/storage/buffer_pool.h"
 #include "src/storage/page.h"
 
 namespace senn::storage {
 
-/// On-page record layout (exposed for tests and inspection tools).
-struct PageHeader {
-  uint32_t level = 0;       // 0 = leaf
-  uint32_t slot_count = 0;
-};
-
-/// One serialized slot. `child` is valid at index levels, `object_id` /
-/// `object_x` / `object_y` at the leaf level.
-struct PageSlot {
-  geom::Mbr mbr;
-  PageId child = kInvalidPageId;
-  int64_t object_id = -1;
-  double object_x = 0.0;
-  double object_y = 0.0;
-};
-
-/// Bytes one serialized node occupies (header + slots); used by the static
-/// fan-out check below and by capacity planning in the docs.
-size_t SerializedNodeBytes(size_t slot_count);
-
-/// Decodes the header / i-th slot of a materialized page.
-PageHeader ReadPageHeader(const Page& page);
-PageSlot ReadPageSlot(const Page& page, size_t index);
-
 class NodePager : public rtree::NodePageHook {
  public:
   /// Builds the page table for the tree's current shape. `tree` must
-  /// outlive the pager. A bounded capacity is clamped to >= 2: best-first
-  /// enqueue accounting holds a parent pinned while transiently fetching a
-  /// child, so two frames is the traversal floor.
+  /// outlive the pager, and a node of its max_entries must fit one page. A
+  /// bounded capacity is clamped to >= 2: best-first enqueue accounting
+  /// holds a parent pinned while transiently fetching a child, so two
+  /// frames is the traversal floor.
   NodePager(const rtree::RStarTree* tree, BufferPoolOptions options);
 
-  /// rtree::NodePageHook: fetch + pin the node's page, materializing the
-  /// payload on a miss; returns whether the fetch physically missed.
+  /// rtree::NodePageHook: fetch + pin the node's page; returns whether the
+  /// fetch physically missed.
   bool Fetch(const rtree::RStarTree::Node* node) override;
   void Unpin(const rtree::RStarTree::Node* node) override;
 
@@ -75,7 +48,6 @@ class NodePager : public rtree::NodePageHook {
 
  private:
   void RegisterSubtree(const rtree::RStarTree::Node* node);
-  void Materialize(const rtree::RStarTree::Node* node, Page* page);
 
   BufferPool pool_;
   std::unordered_map<const rtree::RStarTree::Node*, PageId> page_of_;

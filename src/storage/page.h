@@ -1,14 +1,13 @@
-// Fixed-size storage pages — the unit the buffer pool caches and the unit
-// the paper's evaluation counts ("page accesses", Figure 17 / Table 1).
+// Storage pages — the unit the buffer pool tracks and the unit the paper's
+// evaluation counts ("page accesses", Figure 17 / Table 1).
 //
-// The paper's R*-tree uses branching factor 30 because one node fills one
-// disk page; with ~56-byte slot records (MBR + child reference or object)
-// a 30-slot node serializes into well under kPageSizeBytes, so the node ==
-// page identification holds physically, not just by convention (the
-// node-to-page serializer lives in storage/node_pager.cc).
+// A page carries no payload: the pool models residency only, because every
+// counter the paper's cost metric needs follows from the fetch/unpin
+// sequence. kPageSizeBytes is the size one R*-tree node must fit in — the
+// paper's branching factor 30 makes one node (~56-byte slots) fill one disk
+// page, which NodePager's constructor asserts for the tree it pages.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 
@@ -19,16 +18,8 @@ namespace senn::storage {
 using PageId = uint32_t;
 inline constexpr PageId kInvalidPageId = 0xFFFFFFFFu;
 
-/// Fixed page payload size (a classic 4 KiB disk page).
+/// Fixed page size (a classic 4 KiB disk page).
 inline constexpr size_t kPageSizeBytes = 4096;
-
-/// One page frame's payload: the id of the page currently materialized in
-/// it plus the raw bytes. The buffer pool hands out pinned `Page*`s; the
-/// pager reads/writes the payload through the record layout it defines.
-struct Page {
-  PageId id = kInvalidPageId;
-  std::array<std::byte, kPageSizeBytes> data{};
-};
 
 /// Which unpinned page a full pool evicts on a miss.
 ///

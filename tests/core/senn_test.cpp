@@ -124,6 +124,59 @@ TEST(SennTest, AnswerAlwaysExactAcrossRandomWorlds) {
   EXPECT_GT(by_server, 0);
 }
 
+// ResolvesLocally is Prepare without a server contact: over random worlds
+// and peer sets, under each option set that changes the peer stages, it
+// must agree with whether Execute ends up at the server.
+TEST(SennTest, ResolvesLocallyAgreesWithExecute) {
+  struct Config {
+    const char* name;
+    SennOptions options;
+  };
+  std::vector<Config> configs(4);
+  configs[0].name = "default";
+  configs[1].name = "early_exit";
+  configs[1].options.early_exit = true;
+  configs[2].name = "accept_uncertain";
+  configs[2].options.accept_uncertain = true;
+  configs[3].name = "no multi-peer";
+  configs[3].options.enable_multi_peer = false;
+  Rng rng(9);
+  for (Config& config : configs) {
+    config.options.server_request_k = 8;
+    int local = 0, server_bound = 0, uncertain = 0;
+    for (int trial = 0; trial < 200; ++trial) {
+      std::vector<Poi> pois = RandomPois(static_cast<int>(rng.UniformInt(5, 60)), &rng, 600);
+      SpatialServer server(pois);
+      SennProcessor senn(&server, config.options);
+      Vec2 q{rng.Uniform(100, 500), rng.Uniform(100, 500)};
+      // Near peers certify; far ones mostly leave uncertain candidates.
+      const double spread = rng.Bernoulli(0.5) ? 100 : 400;
+      std::vector<CachedResult> caches;
+      const int peer_count = static_cast<int>(rng.UniformInt(0, 6));
+      for (int i = 0; i < peer_count; ++i) {
+        caches.push_back(MakePeerCache(
+            pois, {q.x + rng.Uniform(-spread, spread), q.y + rng.Uniform(-spread, spread)},
+            static_cast<int>(rng.UniformInt(1, 8))));
+      }
+      std::vector<const CachedResult*> peers;
+      for (const CachedResult& c : caches) peers.push_back(&c);
+      const int k = static_cast<int>(rng.UniformInt(1, 5));
+      const bool resolves = senn.ResolvesLocally(q, k, peers);
+      const SennOutcome outcome = senn.Execute(q, k, peers);
+      EXPECT_EQ(resolves, outcome.resolution != Resolution::kServer)
+          << config.name << " trial " << trial;
+      ++(resolves ? local : server_bound);
+      uncertain += outcome.resolution == Resolution::kUncertain;
+    }
+    // Both answers must be exercised, and the uncertain branch where enabled.
+    EXPECT_GT(local, 0) << config.name;
+    EXPECT_GT(server_bound, 0) << config.name;
+    if (config.options.accept_uncertain) {
+      EXPECT_GT(uncertain, 0);
+    }
+  }
+}
+
 TEST(SennTest, BoundsShippedMatchHeapState) {
   Rng rng(4);
   std::vector<Poi> pois = RandomPois(300, &rng, 1000);

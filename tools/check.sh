@@ -3,9 +3,10 @@
 #   1. regular Release build + the full ctest suite;
 #   2. ThreadSanitizer build of the library + the net/sim/core test binaries
 #      (sweep-engine races, determinism under real concurrency);
-#   3. AddressSanitizer pass over the same binaries;
+#   3. AddressSanitizer pass over the same binaries + rtree (the shared
+#      kNN kernel's unit suite);
 #   4. UndefinedBehaviorSanitizer pass (distance arithmetic, comparator and
-#      angular-interval edge cases) over the same binaries + geom + obs;
+#      angular-interval edge cases) over the ASan binaries + geom + obs;
 #   5. SENN_PARANOID build (algorithmic invariant checks compiled in:
 #      heap rank order, bounds sanity, buffer-pool pin balance) running the
 #      tier1 label — any tripped invariant aborts the test binary and fails
@@ -60,26 +61,28 @@ cmake --build "${PREFIX}-tsan" -j "${JOBS}" --target net_test rpc_test sim_test 
 "${PREFIX}-tsan/tests/snnn_oracle_test" --gtest_filter='SnnnOracleTest.PointOracleAgreesToo'
 "${PREFIX}-tsan/tests/continuous_diff_test" --gtest_filter='ContinuousDiffTest.PeerRegionSharingStaysExact'
 
-stage "AddressSanitizer: net + rpc + sim + core + storage + ch + continuous test binaries"
+stage "AddressSanitizer: net + rpc + sim + core + rtree + storage + ch + continuous test binaries"
 cmake -B "${PREFIX}-asan" -S . -DSENN_SANITIZE=address -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-cmake --build "${PREFIX}-asan" -j "${JOBS}" --target net_test rpc_test sim_test core_test storage_test batch_test ch_test snnn_oracle_test continuous_diff_test
+cmake --build "${PREFIX}-asan" -j "${JOBS}" --target net_test rpc_test sim_test core_test rtree_test storage_test batch_test ch_test snnn_oracle_test continuous_diff_test
 "${PREFIX}-asan/tests/net_test"
 "${PREFIX}-asan/tests/rpc_test"
 "${PREFIX}-asan/tests/sim_test"
 "${PREFIX}-asan/tests/core_test"
+"${PREFIX}-asan/tests/rtree_test"
 "${PREFIX}-asan/tests/storage_test"
 "${PREFIX}-asan/tests/batch_test"
 "${PREFIX}-asan/tests/ch_test"
 "${PREFIX}-asan/tests/snnn_oracle_test"
 "${PREFIX}-asan/tests/continuous_diff_test"
 
-stage "UBSan: net + rpc + sim + core + storage + geom + obs + ch + continuous test binaries"
+stage "UBSan: net + rpc + sim + core + rtree + storage + geom + obs + ch + continuous test binaries"
 cmake -B "${PREFIX}-ubsan" -S . -DSENN_SANITIZE=undefined -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-cmake --build "${PREFIX}-ubsan" -j "${JOBS}" --target net_test rpc_test sim_test core_test storage_test geom_test obs_test batch_test ch_test snnn_oracle_test continuous_diff_test
+cmake --build "${PREFIX}-ubsan" -j "${JOBS}" --target net_test rpc_test sim_test core_test rtree_test storage_test geom_test obs_test batch_test ch_test snnn_oracle_test continuous_diff_test
 "${PREFIX}-ubsan/tests/net_test"
 "${PREFIX}-ubsan/tests/rpc_test"
 "${PREFIX}-ubsan/tests/sim_test"
 "${PREFIX}-ubsan/tests/core_test"
+"${PREFIX}-ubsan/tests/rtree_test"
 "${PREFIX}-ubsan/tests/storage_test"
 "${PREFIX}-ubsan/tests/geom_test"
 "${PREFIX}-ubsan/tests/obs_test"
